@@ -135,7 +135,7 @@ class MuxNode : public Module
         settle(StallClass::Idle);
     }
 
-    /** Flits this node has forwarded (local to the node's shard). */
+    /** Flits this node has forwarded. */
     double flits() const { return _flits; }
 
   private:
@@ -154,8 +154,7 @@ class MuxNode : public Module
     TimedQueue<F> *_out;
     Lock _lock;
     /** Node-local forwarded-flit count; the tree folds node counts
-     *  into its published scalar at stat publication, so no counter
-     *  is ever written from two execution groups. */
+     *  into its published scalar at stat publication. */
     double _flits = 0.0;
     StallAccount _stall;
     std::size_t _rr = 0;
@@ -214,7 +213,7 @@ class DemuxNode : public Module
         }
     }
 
-    /** Flits this node has forwarded (local to the node's shard). */
+    /** Flits this node has forwarded. */
     double flits() const { return _flits; }
 
   private:
@@ -301,8 +300,7 @@ class MuxTree
         for (std::size_t i = 0; i < endpoint_slr.size(); ++i)
             by_slr[endpoint_slr[i]].push_back(i);
 
-        auto *root = makeNode(sim, name + ".root", out, lock, root_slr,
-                              /*is_root=*/true);
+        auto *root = makeNode(sim, name + ".root", out, lock);
         for (auto &[slr, endpoints] : by_slr) {
             // The SLR subtree feeds the root through a link that models
             // the SLR-crossing buffers when slr != root_slr. Crossing
@@ -320,12 +318,11 @@ class MuxTree
                 ++_stats.slrCrossings;
             root->addInput(link);
             buildSubtree(sim, name + ".slr" + std::to_string(slr),
-                         endpoints, params, link, lock, slr);
+                         endpoints, params, link, lock);
         }
         // Fold node-local counters into the published scalar whenever
         // stats are emitted; exact because the locals hold integers.
         sim.addStatFolder([this] { _flits->set(flits()); });
-        registerFlitCounterState(sim, name);
     }
 
     /** The queue endpoint @p idx pushes its flits into. */
@@ -369,50 +366,13 @@ class MuxTree
             fn(_linkNames[i], _queues[i]->occupancy());
     }
 
-    /**
-     * Visit each internal node as (module, SLR, is_root). The root
-     * lives on the consumer's SLR; the shard-readiness audit uses this
-     * to place tree nodes in the candidate partition.
-     */
-    void
-    visitNodes(const std::function<void(Module &, unsigned, bool)> &fn)
-        const
-    {
-        for (const NodeInfo &info : _nodeInfos)
-            fn(*info.module, info.slr, info.isRoot);
-    }
-
   private:
-    struct NodeInfo
-    {
-        Module *module;
-        unsigned slr;
-        bool isRoot;
-    };
-
-    /** Note the tree-wide flits counter as cross-node shared state. */
-    void
-    registerFlitCounterState(Simulator &sim, const std::string &name)
-    {
-        SimGraphRecord::SharedState st;
-        st.name = name + ".flits";
-        st.kind = "stat";
-        st.site = std::source_location::current();
-        for (const NodeInfo &info : _nodeInfos)
-            st.accessors.push_back(info.module);
-        st.resolution =
-            "nodes increment node-local counters; a stat folder sums "
-            "them into the published scalar at stat publication";
-        sim.graphRecord().addSharedState(std::move(st));
-    }
-
     MuxNode<F, Lock> *
     makeNode(Simulator &sim, const std::string &name, TimedQueue<F> *out,
-             const Lock &lock, unsigned slr, bool is_root)
+             const Lock &lock)
     {
         _nodes.push_back(std::make_unique<MuxNode<F, Lock>>(
             sim, name, out, lock));
-        _nodeInfos.push_back(NodeInfo{_nodes.back().get(), slr, is_root});
         ++_stats.nodes;
         return _nodes.back().get();
     }
@@ -433,10 +393,9 @@ class MuxTree
     buildSubtree(Simulator &sim, const std::string &name,
                  const std::vector<std::size_t> &endpoints,
                  const NocParams &params, TimedQueue<F> *out,
-                 const Lock &lock, unsigned slr)
+                 const Lock &lock)
     {
-        auto *node = makeNode(sim, name, out, lock, slr,
-                              /*is_root=*/false);
+        auto *node = makeNode(sim, name, out, lock);
         if (endpoints.size() <= params.fanout) {
             for (std::size_t e : endpoints) {
                 auto *q = makeQueue(
@@ -461,12 +420,11 @@ class MuxTree
                 params.queueDepth, 1);
             node->addInput(q);
             buildSubtree(sim, name + "." + std::to_string(g), sub,
-                         params, q, lock, slr);
+                         params, q, lock);
         }
     }
 
     std::vector<std::unique_ptr<MuxNode<F, Lock>>> _nodes;
-    std::vector<NodeInfo> _nodeInfos; ///< parallel to _nodes
     std::vector<std::unique_ptr<TimedQueue<F>>> _queues;
     std::vector<std::string> _linkNames; ///< parallel to _queues
     std::vector<TimedQueue<F> *> _endpointQueues;
@@ -502,8 +460,7 @@ class DemuxTree
         for (std::size_t i = 0; i < endpoint_slr.size(); ++i)
             by_slr[endpoint_slr[i]].push_back(i);
 
-        auto *root = makeNode(sim, name + ".root", _rootQueue, root_slr,
-                              /*is_root=*/true);
+        auto *root = makeNode(sim, name + ".root", _rootQueue);
         for (auto &[slr, endpoints] : by_slr) {
             const unsigned link_latency =
                 slr == root_slr ? 1 : params.slrCrossingLatency;
@@ -518,12 +475,11 @@ class DemuxTree
             for (std::size_t e : endpoints)
                 root->addRoute(e, link);
             buildSubtree(sim, name + ".slr" + std::to_string(slr),
-                         endpoints, params, link, slr);
+                         endpoints, params, link);
         }
         // Fold node-local counters into the published scalar whenever
         // stats are emitted; exact because the locals hold integers.
         sim.addStatFolder([this] { _flits->set(flits()); });
-        registerFlitCounterState(sim, name);
     }
 
     TimedQueue<F> &rootPort() { return *_rootQueue; }
@@ -568,46 +524,12 @@ class DemuxTree
             fn(_linkNames[i], _queues[i]->occupancy());
     }
 
-    /** Visit each internal node as (module, SLR, is_root). */
-    void
-    visitNodes(const std::function<void(Module &, unsigned, bool)> &fn)
-        const
-    {
-        for (const NodeInfo &info : _nodeInfos)
-            fn(*info.module, info.slr, info.isRoot);
-    }
-
   private:
-    struct NodeInfo
-    {
-        Module *module;
-        unsigned slr;
-        bool isRoot;
-    };
-
-    /** Note the tree-wide flits counter as cross-node shared state. */
-    void
-    registerFlitCounterState(Simulator &sim, const std::string &name)
-    {
-        SimGraphRecord::SharedState st;
-        st.name = name + ".flits";
-        st.kind = "stat";
-        st.site = std::source_location::current();
-        for (const NodeInfo &info : _nodeInfos)
-            st.accessors.push_back(info.module);
-        st.resolution =
-            "nodes increment node-local counters; a stat folder sums "
-            "them into the published scalar at stat publication";
-        sim.graphRecord().addSharedState(std::move(st));
-    }
-
     DemuxNode<F> *
-    makeNode(Simulator &sim, const std::string &name, TimedQueue<F> *in,
-             unsigned slr, bool is_root)
+    makeNode(Simulator &sim, const std::string &name, TimedQueue<F> *in)
     {
         _nodes.push_back(
             std::make_unique<DemuxNode<F>>(sim, name, in, _key));
-        _nodeInfos.push_back(NodeInfo{_nodes.back().get(), slr, is_root});
         ++_stats.nodes;
         return _nodes.back().get();
     }
@@ -626,9 +548,9 @@ class DemuxTree
     void
     buildSubtree(Simulator &sim, const std::string &name,
                  const std::vector<std::size_t> &endpoints,
-                 const NocParams &params, TimedQueue<F> *in, unsigned slr)
+                 const NocParams &params, TimedQueue<F> *in)
     {
-        auto *node = makeNode(sim, name, in, slr, /*is_root=*/false);
+        auto *node = makeNode(sim, name, in);
         if (endpoints.size() <= params.fanout) {
             for (std::size_t e : endpoints) {
                 auto *q = makeQueue(
@@ -653,14 +575,13 @@ class DemuxTree
             for (std::size_t e : sub)
                 node->addRoute(e, q);
             buildSubtree(sim, name + "." + std::to_string(g), sub,
-                         params, q, slr);
+                         params, q);
         }
     }
 
     KeyFn _key;
     TimedQueue<F> *_rootQueue = nullptr;
     std::vector<std::unique_ptr<DemuxNode<F>>> _nodes;
-    std::vector<NodeInfo> _nodeInfos; ///< parallel to _nodes
     std::vector<std::unique_ptr<TimedQueue<F>>> _queues;
     std::vector<std::string> _linkNames; ///< parallel to _queues
     std::vector<TimedQueue<F> *> _endpointQueues;

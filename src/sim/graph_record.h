@@ -3,13 +3,12 @@
  * Registration-time record of the simulation connectivity graph.
  *
  * Every Simulator owns one SimGraphRecord. Modules, timed queues, wake
- * registrations, sleep declarations, shard assignments, and shared
- * mutable state all note themselves here as they are constructed, with
- * std::source_location provenance. The record is pure metadata: it is
- * never consulted on the simulation fast path. src/analysis/ lowers it
- * to an immutable SimGraph IR and proves the wake/sleep contract,
- * livelock freedom, and shard readiness before a single cycle runs
- * (DESIGN.md §5d).
+ * registrations, and sleep declarations all note themselves here as
+ * they are constructed, with std::source_location provenance. The
+ * record is pure metadata: it is never consulted on the simulation
+ * fast path. src/analysis/ lowers it to an immutable SimGraph IR and
+ * proves the wake/sleep contract and livelock freedom before a single
+ * cycle runs (DESIGN.md §5d).
  */
 
 #ifndef BEETHOVEN_SIM_GRAPH_RECORD_H
@@ -26,7 +25,6 @@ namespace beethoven
 {
 
 class Module;
-class Committable;
 
 /** Repo-relative suffix of @p path ("src/…", "tools/…", …) or basename. */
 std::string trimSourcePath(const char *path);
@@ -77,14 +75,9 @@ bool consumePlantMissingPushWake();
 class SimGraphRecord
 {
   public:
-    static constexpr int kNoShard = -1;
-
     struct QueueEdge
     {
         const void *queue = nullptr;
-        /** The queue as a Committable, for the parallel kernel's
-         *  split-mode activation (null for hand-recorded edges). */
-        Committable *object = nullptr;
         SourceSite site;        ///< where the queue was constructed
         std::size_t capacity = 0;
         unsigned latency = 0;
@@ -105,43 +98,14 @@ class SimGraphRecord
         SourceSite sleepSite;
         bool selfWake = false;
         SourceSite selfWakeSite;
-        int shard = kNoShard;
     };
-
-    /** Mutable state reachable from the named accessor modules. */
-    struct SharedState
-    {
-        std::string name;
-        std::string kind; ///< stat | trace | power | dram-map | sim
-        SourceSite site;  ///< registration site (file:line)
-        std::vector<Module *> accessors;
-        std::vector<int> extraShards; ///< shards that pull without a module
-        bool spansAllShards = false;
-        /**
-         * How the cross-shard hazard is discharged under the parallel
-         * kernel ("" = unresolved). The shard analyzer downgrades a
-         * resolved site from a BTH110 warning to a BTH113 note, and
-         * the parallel kernel refuses to elaborate while any state
-         * reachable from more than one execution group is unresolved.
-         */
-        std::string resolution;
-    };
-
-    struct Shard
-    {
-        int id = kNoShard;
-        std::string name;
-    };
-
-    SimGraphRecord();
 
     void noteModule(Module *m);
     void setRole(Module *m, const char *role);
     void setSleepable(Module *m, SourceSite site);
     void setSelfWake(Module *m, SourceSite site);
-    void setShard(Module *m, int shard);
 
-    void registerQueue(Committable *q, std::size_t capacity,
+    void registerQueue(const void *q, std::size_t capacity,
                        unsigned latency, SourceSite site);
     void recordPushWake(const void *q, Module *consumer, bool armed,
                         SourceSite site);
@@ -152,20 +116,8 @@ class SimGraphRecord
     /** Record-only producer declaration. */
     void declareProducer(const void *q, Module *producer, SourceSite site);
 
-    void defineShard(int id, std::string name);
-    void addSharedState(SharedState state);
-
-    /**
-     * Annotate the already-registered shared state @p name with the
-     * mechanism that makes it safe under the parallel kernel. No-op
-     * when the name is unknown (states registered conditionally).
-     */
-    void resolveSharedState(const std::string &name, std::string how);
-
     const std::vector<ModuleInfo> &modules() const { return _modules; }
     const std::vector<QueueEdge> &edges() const { return _edges; }
-    const std::vector<SharedState> &sharedStates() const { return _shared; }
-    const std::vector<Shard> &shards() const { return _shards; }
 
   private:
     ModuleInfo &infoFor(Module *m);
@@ -173,8 +125,6 @@ class SimGraphRecord
 
     std::vector<ModuleInfo> _modules;
     std::vector<QueueEdge> _edges;
-    std::vector<SharedState> _shared;
-    std::vector<Shard> _shards;
     std::unordered_map<const Module *, std::size_t> _moduleIndex;
     std::unordered_map<const void *, std::size_t> _edgeIndex;
 };

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "base/log.h"
-#include "base/thread_annotations.h"
 #include "base/types.h"
 
 namespace beethoven
@@ -43,7 +42,7 @@ class WakeWheel
      * the simulator's wakeNow path, not the wheel).
      */
     void
-    schedule(Cycle now, Cycle at, Module *m) BTH_REQUIRES(gSimThreadRole)
+    schedule(Cycle now, Cycle at, Module *m)
     {
         beethoven_assert(at > now, "wheel wake must be in the future");
         if (at - now < _slots.size())
@@ -59,7 +58,7 @@ class WakeWheel
      */
     template <typename Fn>
     void
-    drain(Cycle now, Fn &&fn) BTH_REQUIRES(gSimThreadRole)
+    drain(Cycle now, Fn &&fn)
     {
         std::vector<Entry> &slot = _slots[now % _slots.size()];
         if (!slot.empty()) {
@@ -80,30 +79,9 @@ class WakeWheel
         }
     }
 
-    /**
-     * Move every armed wake out of the wheel via @p fn(at, Module*),
-     * leaving it empty. The parallel kernel uses this once at prepare
-     * time to migrate elaboration-era wakes (e.g. DRAM refresh timers)
-     * from the global wheel into the owning group's wheel.
-     */
-    template <typename Fn>
-    void
-    extractAll(Fn &&fn) BTH_REQUIRES(gSimThreadRole)
-    {
-        for (auto &slot : _slots) {
-            for (const Entry &e : slot)
-                fn(e.at, e.m);
-            slot.clear();
-        }
-        while (!_far.empty()) {
-            fn(_far.top().at, _far.top().m);
-            _far.pop();
-        }
-    }
-
     /** Armed wakes not yet delivered (spurious duplicates included). */
     std::size_t
-    pending() const BTH_REQUIRES(gSimThreadRole)
+    pending() const
     {
         std::size_t n = _far.size();
         for (const auto &slot : _slots)
@@ -125,9 +103,8 @@ class WakeWheel
         }
     };
 
-    std::vector<std::vector<Entry>> _slots BTH_GUARDED_BY(gSimThreadRole);
-    std::priority_queue<Entry, std::vector<Entry>, Later> _far
-        BTH_GUARDED_BY(gSimThreadRole);
+    std::vector<std::vector<Entry>> _slots;
+    std::priority_queue<Entry, std::vector<Entry>, Later> _far;
 };
 
 } // namespace beethoven

@@ -98,7 +98,7 @@ TEST(LintRegistry, CoversAllLayersWithStableUniqueCodes)
     const std::set<std::string> expect_layers = {
         "config", "memory", "axi", "noc", "placement",
         // Simulation-graph analyzer layers (src/analysis/, BTH1xx).
-        "graph", "shard"};
+        "graph"};
     EXPECT_EQ(layers, expect_layers);
     EXPECT_NE(lint::findDiagnosticCode("BTH001"), nullptr);
     EXPECT_EQ(lint::findDiagnosticCode("BTH999"), nullptr);

@@ -5,15 +5,17 @@
 #   1. lint      soc_lint on the clean reference case (composition
 #                contract, BTH0xx)
 #   2. analyze   soc_analyze on the clean case and both paper presets
-#                (wake contract + shard readiness, BTH1xx)
+#                (wake/sleep contract, BTH1xx)
 #   3. tidy      tools/run_tidy.sh --diff (new clang-tidy warnings in
 #                changed files only; skips when LLVM is absent)
-#   4. sanitize  ctest smoke in the tsan preset's build tree when it
-#                exists (configure with `cmake --preset tsan` to opt
-#                in; skipped otherwise so gcc-only images still pass),
-#                including the parallel-kernel suites and a
-#                multi-threaded soc_fuzz differential smoke — the one
-#                place real cross-thread interleavings run under tsan
+#   4. fixtures  every tools/testdata file a ctest names in
+#                tools/CMakeLists.txt is tracked by git, so a clean
+#                checkout has it (a broad .gitignore rule once kept a
+#                fixture out of the repo)
+#   5. sanitize  ASan+UBSan smoke in the sanitize preset's build tree
+#                when it exists (configure with `cmake --preset
+#                sanitize` to opt in; skipped otherwise): the kernel
+#                suites plus a tick-vs-event soc_fuzz differential
 #
 # Usage: tools/run_checks.sh [BUILD_DIR]
 #   BUILD_DIR  build tree holding the tools (default: build)
@@ -29,31 +31,51 @@ fail() {
     exit 1
 }
 
-echo "== run_checks: 1/4 lint =="
+echo "== run_checks: 1/5 lint =="
 "$tools_dir/soc_lint" "$testdata/lint_clean.json" || fail lint
 
-echo "== run_checks: 2/4 analyze =="
+echo "== run_checks: 2/5 analyze =="
 "$tools_dir/soc_analyze" "$testdata/lint_clean.json" || fail analyze
 "$tools_dir/soc_analyze" --preset=fig4 || fail analyze
 "$tools_dir/soc_analyze" --preset=fig6 || fail analyze
 
-echo "== run_checks: 3/4 tidy (diff) =="
+echo "== run_checks: 3/5 tidy (diff) =="
 "$repo_root/tools/run_tidy.sh" --diff "$build_dir" || fail tidy
 
-echo "== run_checks: 4/4 sanitize (tsan smoke) =="
-tsan_dir="$repo_root/build-tsan"
-if [ -f "$tsan_dir/CTestTestfile.cmake" ]; then
-    (cd "$tsan_dir" && ctest -R \
-        'EventKernel|WakeWheel|Simulator|ParallelKernel|SplitQueue|CrossKernel' \
-        --output-on-failure -j "$(nproc)") || fail sanitize
-    # Drive real multi-threaded epochs under tsan: the three-way
-    # differential at an oversubscribed thread count exercises the
-    # barrier, mailbox drain, and merged-fence paths concurrently.
-    "$tsan_dir/tools/soc_fuzz" --differential --sim-threads=4 \
-        --seed=1 --iterations=3 || fail sanitize
+echo "== run_checks: 4/5 fixtures (tracked by git) =="
+if git -C "$repo_root" rev-parse --is-inside-work-tree >/dev/null 2>&1
+then
+    tracked=$(git -C "$repo_root" ls-files tools/testdata)
+    missing=0
+    # no_such_file.json is absent on purpose (the missing-file tests).
+    for f in $(grep -o '\${TESTDATA}/[A-Za-z0-9_.-]*' \
+                   "$repo_root/tools/CMakeLists.txt" |
+               sed 's|^\${TESTDATA}/||' | sort -u); do
+        [ "$f" = no_such_file.json ] && continue
+        if ! printf '%s\n' "$tracked" | grep -qx "tools/testdata/$f"
+        then
+            echo "run_checks: tools/testdata/$f is named by a ctest" \
+                 "but not tracked by git" >&2
+            missing=1
+        fi
+    done
+    [ "$missing" -eq 0 ] || fail fixtures
 else
-    echo "run_checks: $tsan_dir not configured; skipping tsan smoke" \
-         "(run 'cmake --preset tsan && cmake --build --preset tsan')"
+    echo "run_checks: $repo_root is not a git work tree;" \
+         "skipping the fixture check"
+fi
+
+echo "== run_checks: 5/5 sanitize (ASan+UBSan smoke) =="
+san_dir="$repo_root/build-sanitize"
+if [ -f "$san_dir/CTestTestfile.cmake" ]; then
+    (cd "$san_dir" && ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel' \
+        --output-on-failure -j "$(nproc)") || fail sanitize
+    "$san_dir/tools/soc_fuzz" --differential --seed=1 --iterations=3 ||
+        fail sanitize
+else
+    echo "run_checks: $san_dir not configured; skipping sanitize smoke" \
+         "(run 'cmake --preset sanitize && cmake --build --preset" \
+         "sanitize')"
 fi
 
 echo "run_checks: all stages passed"
