@@ -21,6 +21,15 @@ struct SweepParam
     DramController::Config cfg;
 };
 
+// Print the preset name rather than gtest's raw byte dump: the dump
+// starts with the `name` pointer, which moves on every run under ASLR
+// and so gave the discovered ctest names a different suffix per build.
+void
+PrintTo(const SweepParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
 SweepParam
 makeParam(const char *name,
           std::function<void(DramController::Config &)> tweak)
