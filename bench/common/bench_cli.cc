@@ -33,25 +33,23 @@ benchBasename(const char *argv0)
 }
 
 /**
- * Parse a --host-profile mode spec: "" (bare flag) and "sample:N"
- * select sampling, "scoped" measures every cycle. Anything else is a
- * usage error (exit 2, consistent with bad output paths).
+ * Parse a --host-profile spec into a sampling period: "" (bare flag)
+ * means 64, "scoped" means every cycle, "sample:N" means one cycle in
+ * N. Anything else is a usage error (exit 2, consistent with bad
+ * output paths).
  */
 std::unique_ptr<HostProfiler>
 makeProfiler(const std::string &spec)
 {
     if (spec.empty())
-        return std::make_unique<HostProfiler>(
-            HostProfiler::Mode::Sampling);
+        return std::make_unique<HostProfiler>();
     if (spec == "scoped")
-        return std::make_unique<HostProfiler>(
-            HostProfiler::Mode::Scoped);
+        return std::make_unique<HostProfiler>(1);
     if (spec.rfind("sample:", 0) == 0) {
         const unsigned long n =
             std::strtoul(spec.c_str() + 7, nullptr, 10);
         if (n >= 1)
-            return std::make_unique<HostProfiler>(
-                HostProfiler::Mode::Sampling, static_cast<u32>(n));
+            return std::make_unique<HostProfiler>(static_cast<u32>(n));
     }
     std::cerr << "bad --host-profile mode '" << spec
               << "' (expected scoped or sample:N)\n";
@@ -122,8 +120,7 @@ BenchCli::BenchCli(int &argc, char **argv)
         _profiler = makeProfiler(profile_spec);
     else if (!_perfPath.empty())
         // KPIs only: heartbeat without per-component timing.
-        _profiler = std::make_unique<HostProfiler>(
-            HostProfiler::Mode::KpiOnly);
+        _profiler = std::make_unique<HostProfiler>(0);
 
     // Fail unwritable output paths before any simulation runs. The
     // append-mode probe creates missing files but never truncates an
@@ -308,8 +305,7 @@ BenchCli::finish()
             writePowerReportJson(f, _powerMeter->report());
         }
     }
-    if (_profiler != nullptr &&
-        _profiler->mode() != HostProfiler::Mode::KpiOnly)
+    if (_profiler != nullptr && _profiler->period() != 0)
         _profiler->writeReport(std::cerr);
     if (!_stallReportPath.empty()) {
         try {

@@ -18,11 +18,13 @@
  *                       peak_rss_kb, allocation churn, cycles/sec
  *                       heartbeat — the per-bench record tools/soc_perf
  *                       aggregates into BENCH_<label>.json
- *   --host-profile[=M]  attribute wall-clock per module in the step
- *                       loop; M is "scoped", or "sample:N" (measure
- *                       every Nth cycle; bare --host-profile means
- *                       sample:64). Breakdown prints to stderr and
- *                       lands in --perf-json output
+ *   --host-profile[=M]  attribute wall-clock per awake module in the
+ *                       step loop of the selected kernel; M is
+ *                       "scoped" (every cycle) or "sample:N" (every
+ *                       Nth cycle; bare --host-profile means
+ *                       sample:64). Ticks and digests are unchanged.
+ *                       Breakdown prints to stderr and lands in
+ *                       --perf-json output
  *   --power-trace=FILE  Chrome trace of windowed per-component watt
  *                       counter-tracks ("power/<component>"), sampled
  *                       from the SoC's PowerLedger

@@ -24,9 +24,9 @@ heartbeatMask(Cycle period)
 
 } // namespace
 
-HostProfiler::HostProfiler(Mode mode, u32 period, Cycle hb_period)
-    : _mode(mode), _period(period == 0 ? 1 : period),
-      _hbMask(heartbeatMask(hb_period)), _startNs(hostNowNs())
+HostProfiler::HostProfiler(u32 period, Cycle hb_period)
+    : _period(period), _hbMask(heartbeatMask(hb_period)),
+      _startNs(hostNowNs())
 {
     _commitId = componentId("(commit)");
 }
@@ -34,15 +34,13 @@ HostProfiler::HostProfiler(Mode mode, u32 period, Cycle hb_period)
 const char *
 HostProfiler::modeName() const
 {
-    switch (_mode) {
-    case Mode::KpiOnly:
+    switch (_period) {
+    case 0:
         return "kpi-only";
-    case Mode::Sampling:
-        return "sampling";
-    case Mode::Scoped:
+    case 1:
         return "scoped";
     }
-    return "?";
+    return "sampling";
 }
 
 u32
@@ -73,10 +71,8 @@ HostProfiler::onCycle()
             _hbMask = (_hbMask << 1) | 1;
         }
     }
-    if (_mode == Mode::KpiOnly)
+    if (_period == 0)
         return false;
-    if (_mode == Mode::Scoped)
-        return true;
     if (++_sinceSample >= _period) {
         _sinceSample = 0;
         return true;

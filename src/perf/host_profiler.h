@@ -4,29 +4,28 @@
  *
  * The existing observability stack (src/trace/) explains where
  * *simulated* cycles go; the HostProfiler explains where *wall-clock*
- * goes while the simulator produces those cycles — the breakdown the
- * ROADMAP's cycles-per-second KPI work needs before the step loop can
- * be made event-driven or sharded.
+ * goes while the simulator produces those cycles.
  *
  * Attach a profiler to a Simulator (Simulator::attachHostProfiler) and
- * every step is accounted against named components: one component per
- * registered module, plus a builtin "(commit)" bucket for the
- * end-of-cycle commit phase. Attribution happens with a chain of
- * monotonic clock reads (one per module per measured cycle), so
- * per-component times are disjoint sub-intervals of the measured
- * step-loop total and always sum to <= it.
+ * every measured step is accounted against named components: one
+ * component per registered module, plus a builtin "(commit)" bucket
+ * for the end-of-cycle commit phase. Attribution happens with a chain
+ * of monotonic clock reads (one per awake module per measured cycle),
+ * so per-component times are disjoint sub-intervals of the measured
+ * step-loop total and always sum to <= it. The profiler observes the
+ * kernel the run selected: sleeping modules are neither ticked nor
+ * timed.
  *
- * Three modes bound the overhead:
+ * One sampling period bounds the overhead:
  *
- *   KpiOnly   no per-component timing; only the cycles/sec heartbeat
- *             runs (one clock read every heartbeat window). This is
- *             what --perf-json alone enables.
- *   Sampling  every Nth cycle is fully timed (default N=64); measured
- *             shares estimate the true breakdown with ~1/N of the
- *             scoped cost. The default for --host-profile, keeping
- *             overhead well under the 5% budget (DESIGN.md 4e).
- *   Scoped    every cycle is timed. Exact, costliest; used by the
- *             conservation tests and short diagnostic runs.
+ *   0   no per-component timing; only the cycles/sec heartbeat runs
+ *       (one clock read every heartbeat window). This is what
+ *       --perf-json alone enables ("kpi-only").
+ *   1   every cycle is timed. Exact, costliest; used by the
+ *       conservation tests and short diagnostic runs ("scoped").
+ *   N   one cycle in N is timed (default 64); measured shares
+ *       estimate the true breakdown at ~1/N of the scoped cost. The
+ *       default for --host-profile ("sampling"; DESIGN.md 4e).
  *
  * A profiler may be attached to many Simulators sequentially (benches
  * construct one SoC per configuration); components with equal names
@@ -34,8 +33,8 @@
  * the process ticked.
  *
  * The profiler never mutates simulation state; tests/perf_test.cc
- * proves a profiled run's stats digest is bit-identical to an
- * unprofiled one.
+ * proves a profiled run's stats digest and module-tick count are
+ * identical to an unprofiled one's.
  */
 
 #ifndef BEETHOVEN_PERF_HOST_PROFILER_H
@@ -57,19 +56,17 @@ class TraceSink;
 class HostProfiler
 {
   public:
-    enum class Mode { KpiOnly, Sampling, Scoped };
-
     /**
-     * @param period     cycles between measured cycles (Sampling mode;
-     *                   clamped to >= 1, ignored otherwise)
+     * @param period     cycles between measured cycles; 0 measures
+     *                   none (heartbeat only), 1 measures every cycle
      * @param hb_period  cycles between heartbeat samples (rounded up
      *                   to a power of two)
      */
-    explicit HostProfiler(Mode mode = Mode::Sampling, u32 period = 64,
-                          Cycle hb_period = 1ull << 12);
+    explicit HostProfiler(u32 period = 64, Cycle hb_period = 1ull << 12);
 
-    Mode mode() const { return _mode; }
     u32 period() const { return _period; }
+
+    /** "kpi-only", "scoped" or "sampling", derived from period(). */
     const char *modeName() const;
 
     /** Get-or-create the component named @p name. */
@@ -173,7 +170,6 @@ class HostProfiler
     static constexpr u64 kTraceEmitSamples = 64;
 
   private:
-    Mode _mode;
     u32 _period;
     u32 _sinceSample = 0;
     Cycle _hbMask;

@@ -59,6 +59,10 @@ RuntimeServer::sendCommand(const CommandSpec &spec, u32 system_id,
                 fatal("timeout polling CMD_READY");
             if (ready)
                 break;
+            // A full command path may be waiting on response slots
+            // only the host can free: drain one before polling again.
+            if (_inFlight > 0)
+                pollResponses();
             _soc.sim().run(_pollInterval);
         }
         // Five CMD_BITS writes + CMD_VALID.

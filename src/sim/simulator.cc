@@ -109,13 +109,13 @@ void
 Simulator::setKernel(SimKernel k)
 {
     _kernel = k;
-    if (k == SimKernel::Event) {
-        // Conservative start: everything awake, quiescence re-forms as
-        // modules discover they have nothing to do. Stale wheel entries
-        // from an earlier event phase only cause spurious wakes.
-        for (Module *m : _modules)
-            m->_awake = true;
-    }
+    // Conservative start: everything awake. Under the event kernel
+    // quiescence re-forms as modules discover they have nothing to do;
+    // under the tick kernel sleep requests are ignored, so every module
+    // stays awake and ticks every cycle. Stale wheel entries from an
+    // earlier event phase only cause spurious wakes.
+    for (Module *m : _modules)
+        m->_awake = true;
     _dirtyCommits.clear();
 }
 
@@ -169,10 +169,27 @@ Simulator::activeModules() const
     return n;
 }
 
+template <bool Timed>
 void
-Simulator::stepPhasesEvent()
+Simulator::stepPhases()
 {
-    _wheel.drain(_cycle, [](Module *m) { m->_awake = true; });
+    // One clock read per awake module: each tick is the interval
+    // between consecutive reads, so per-component times are disjoint
+    // slices of the measured total and their sum cannot exceed it.
+    // The wheel drain lands in the total but in no component.
+    [[maybe_unused]] u64 t_start = 0, t_prev = 0;
+    if constexpr (Timed) {
+        // Modules registered since attach (or since last growth) get
+        // their component ids on first measured cycle.
+        for (std::size_t i = _profIds.size(); i < _modules.size(); ++i)
+            _profIds.push_back(_hostProf->componentId(_modules[i]->name()));
+        t_start = hostNowNs();
+    }
+    const bool event = _kernel == SimKernel::Event;
+    if (event)
+        _wheel.drain(_cycle, [](Module *m) { m->_awake = true; });
+    if constexpr (Timed)
+        t_prev = hostNowNs();
     _inTickPhase = true;
     u64 ticks = 0;
     for (std::size_t i = 0; i < _modules.size(); ++i) {
@@ -182,90 +199,36 @@ Simulator::stepPhasesEvent()
         _cursor = i;
         m->tick();
         ++ticks;
+        if constexpr (Timed) {
+            const u64 t_now = hostNowNs();
+            _hostProf->add(_profIds[i], t_now - t_prev);
+            t_prev = t_now;
+        }
     }
     _inTickPhase = false;
-    // Only queues that staged a push or pop this cycle have anything to
-    // publish; a clean TimedQueue commit is a no-op by construction.
-    for (Committable *c : _dirtyCommits)
+    // The event kernel commits only queues that staged a push or pop
+    // this cycle (a clean TimedQueue commit is a no-op by
+    // construction); the tick kernel commits everything.
+    for (Committable *c : event ? _dirtyCommits : _commits)
         c->commit();
     _dirtyCommits.clear();
     g_moduleTicks += ticks;
-}
-
-void
-Simulator::stepPhasesProfiled()
-{
-    if (_kernel == SimKernel::Event) {
-        // Profiled cycles tick everything so per-module wall-time
-        // attribution stays complete; wake/dirty bookkeeping still runs
-        // underneath (ticking a sleeper is a harmless superset — it
-        // re-accounts the class its sleep gap would have backfilled),
-        // so an unprofiled run can resume the quiescent schedule.
-        _wheel.drain(_cycle, [](Module *m) { m->_awake = true; });
+    if constexpr (Timed) {
+        const u64 t_end = hostNowNs();
+        _hostProf->add(_hostProf->commitComponentId(), t_end - t_prev);
+        _hostProf->addTotal(t_end - t_start);
+        if (_trace != nullptr)
+            _hostProf->emitCountersMaybe(*_trace, _cycle);
     }
-    HostProfiler &hp = *_hostProf;
-    if (!hp.onCycle()) {
-        // Unmeasured cycle (sampling miss or KPI-only mode): the same
-        // phases as the plain path, no clock reads.
-        for (Module *m : _modules)
-            m->tick();
-        for (Committable *c : _commits)
-            c->commit();
-        _dirtyCommits.clear();
-        return;
-    }
-    // Modules registered since attach (or since last growth) get
-    // their component ids on first measured cycle.
-    for (std::size_t i = _profIds.size(); i < _modules.size(); ++i)
-        _profIds.push_back(hp.componentId(_modules[i]->name()));
-
-    // One clock read per module: each tick is the interval between
-    // consecutive reads, so per-component times are disjoint slices
-    // of the measured total and their sum cannot exceed it.
-    const u64 t_start = hostNowNs();
-    u64 t_prev = t_start;
-    for (std::size_t i = 0; i < _modules.size(); ++i) {
-        _modules[i]->tick();
-        const u64 t_now = hostNowNs();
-        hp.add(_profIds[i], t_now - t_prev);
-        t_prev = t_now;
-    }
-    for (Committable *c : _commits)
-        c->commit();
-    _dirtyCommits.clear();
-    const u64 t_end = hostNowNs();
-    hp.add(hp.commitComponentId(), t_end - t_prev);
-    hp.addTotal(t_end - t_start);
-    if (_trace != nullptr)
-        hp.emitCountersMaybe(*_trace, _cycle);
 }
 
 void
 Simulator::step()
 {
-    // KPI-only profiling (the bare --perf-json heartbeat) never reads
-    // per-module clocks, so it composes with the event kernel: advance
-    // the heartbeat and take the quiescence-aware step. Sampling and
-    // scoped modes need every module ticked for complete wall-time
-    // attribution and keep the tick-all profiled path.
-    const bool kpi_only =
-        _hostProf != nullptr &&
-        _hostProf->mode() == HostProfiler::Mode::KpiOnly;
-    if (_hostProf != nullptr &&
-        (_kernel != SimKernel::Event || !kpi_only)) {
-        stepPhasesProfiled();
-        g_moduleTicks += _modules.size();
-    } else if (_kernel == SimKernel::Event) {
-        if (kpi_only)
-            _hostProf->onCycle();
-        stepPhasesEvent();
-    } else {
-        for (Module *m : _modules)
-            m->tick();
-        for (Committable *c : _commits)
-            c->commit();
-        g_moduleTicks += _modules.size();
-    }
+    if (_hostProf != nullptr && _hostProf->onCycle())
+        stepPhases<true>();
+    else
+        stepPhases<false>();
     ++_cycle;
     ++g_simCycles;
     if (_powerMeter != nullptr)

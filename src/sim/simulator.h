@@ -57,12 +57,12 @@ class Invariant
 };
 
 /**
- * Which step() implementation clocks the SoC (see DESIGN.md §4a).
+ * Which schedule step() follows (see DESIGN.md §4a).
  *
- * Both kernels step cycle-by-cycle and produce bit-identical results;
- * the event kernel skips the tick of every quiescent module. Tick
- * remains the reference kernel the differential harness compares
- * against.
+ * Both kernels run the same phase loop cycle-by-cycle and produce
+ * bit-identical results; the event kernel lets quiescent modules
+ * sleep and commits only dirty queues. Tick remains the reference
+ * kernel the differential harness compares against.
  */
 enum class SimKernel
 {
@@ -112,7 +112,7 @@ class Simulator
         _stallAccounts.push_back(a);
     }
 
-    /** Advance one cycle: tick all modules, then commit all state. */
+    /** Advance one cycle: tick awake modules, then commit state. */
     void step();
 
     /** Advance @p n cycles. */
@@ -128,10 +128,10 @@ class Simulator
     Cycle cycle() const { return _cycle; }
 
     /**
-     * Select the stepping kernel. Switching to Event wakes every module
-     * (conservative: the first cycles re-establish quiescence);
-     * switching away discards pending dirty-commit tracking. Safe to
-     * call between steps only.
+     * Select the stepping kernel. Either switch wakes every module
+     * (conservative: under Event the first cycles re-establish
+     * quiescence; under Tick nothing sleeps again) and discards
+     * pending dirty-commit tracking. Safe to call between steps only.
      */
     void setKernel(SimKernel k);
     SimKernel kernel() const { return _kernel; }
@@ -288,9 +288,9 @@ class Simulator
 
     /**
      * Attached host profiler, or nullptr (the default). When attached,
-     * step() routes through a profiled path that attributes wall-clock
-     * time per module (per the profiler's sampling mode) and drives
-     * the cycles/sec heartbeat; when null, the only cost is one
+     * step() drives the cycles/sec heartbeat and, on the cycles the
+     * profiler's period selects, times each awake module's tick on
+     * whichever kernel is selected; when null, the only cost is one
      * pointer check per step. Not owned; must outlive its attachment.
      * Detaching (nullptr) is allowed between runs.
      */
@@ -324,11 +324,13 @@ class Simulator
     std::size_t numModules() const { return _modules.size(); }
 
   private:
-    /** Tick+commit with per-phase host-time attribution. */
-    void stepPhasesProfiled();
-
-    /** Event-kernel tick+commit: wheel drain, awake scan, dirty commit. */
-    void stepPhasesEvent();
+    /**
+     * Tick+commit for both kernels: wheel drain (event only), awake
+     * scan, commit (dirty list under event, every Committable under
+     * tick). @p Timed chains one host-clock read per awake module into
+     * the attached profiler.
+     */
+    template <bool Timed> void stepPhases();
 
     /** Wheel-arm a wake with dedup and planted-fault accounting. */
     void scheduleWake(Module *m, Cycle at);

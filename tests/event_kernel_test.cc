@@ -212,6 +212,43 @@ TEST(EventKernel, WakeOutOfFullQuiescence)
     EXPECT_EQ(beacon.ticks[2], 200u);
 }
 
+TEST(EventKernel, TickKernelTicksSleepersEveryCycle)
+{
+    // The tick kernel is the differential reference: it ignores sleep
+    // requests, so a module that asks to sleep on every tick is still
+    // ticked every cycle, including after an Event->Tick switch that
+    // found it asleep.
+    class Napper : public Module
+    {
+      public:
+        explicit Napper(Simulator &sim) : Module(sim, "napper")
+        {
+            declareSleepable();
+        }
+        void
+        tick() override
+        {
+            ++ticks;
+            requestSleep();
+        }
+        u64 ticks = 0;
+    };
+
+    Simulator sim;
+    Napper napper(sim);
+    sim.setKernel(SimKernel::Tick);
+    sim.run(10);
+    EXPECT_EQ(napper.ticks, 10u);
+    sim.setKernel(SimKernel::Event);
+    sim.run(10); // ticks once, then sleeps with no wake armed
+    EXPECT_EQ(napper.ticks, 11u);
+    EXPECT_EQ(sim.activeModules(), 0u);
+    sim.setKernel(SimKernel::Tick);
+    sim.run(10);
+    EXPECT_EQ(napper.ticks, 21u);
+    EXPECT_EQ(sim.activeModules(), 1u);
+}
+
 TEST(EventKernel, WatchdogFiresWhenActiveSetEmpties)
 {
     // Quiescence is not progress: a design that goes to sleep forever

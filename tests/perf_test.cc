@@ -68,7 +68,7 @@ TEST(HostProfiler, ScopedComponentTimesSumToAtMostTotal)
     Simulator sim;
     SpinModule heavy(sim, "heavy", 4000);
     SpinModule light(sim, "light", 100);
-    HostProfiler prof(HostProfiler::Mode::Scoped);
+    HostProfiler prof(1);
     sim.attachHostProfiler(&prof);
 
     for (int i = 0; i < 2000; ++i)
@@ -98,11 +98,11 @@ TEST(HostProfiler, SamplingAgreesWithScopedShares)
     // estimate must land near the exhaustive one. Tolerance is
     // generous (15 points) because a 1-in-8 sample of 4000 cycles is
     // noisy under CI scheduling.
-    auto measure = [](HostProfiler::Mode mode, u32 period) {
+    auto measure = [](u32 period) {
         Simulator sim;
         SpinModule heavy(sim, "heavy", 4000);
         SpinModule light(sim, "light", 400);
-        HostProfiler prof(mode, period);
+        HostProfiler prof(period);
         sim.attachHostProfiler(&prof);
         for (int i = 0; i < 4000; ++i)
             sim.step();
@@ -118,8 +118,8 @@ TEST(HostProfiler, SamplingAgreesWithScopedShares)
     // tolerance until the assertion is vacuous.
     double scoped = 0.0, sampled = 0.0;
     for (int attempt = 0; attempt < 5; ++attempt) {
-        scoped = measure(HostProfiler::Mode::Scoped, 1);
-        sampled = measure(HostProfiler::Mode::Sampling, 8);
+        scoped = measure(1);
+        sampled = measure(8);
         if (scoped > 0.5 && std::abs(sampled - scoped) <= 0.15)
             break;
     }
@@ -132,7 +132,7 @@ TEST(HostProfiler, SamplingMeasuresOneInPeriodCycles)
 {
     Simulator sim;
     SpinModule m(sim, "m", 10);
-    HostProfiler prof(HostProfiler::Mode::Sampling, 64);
+    HostProfiler prof(64);
     sim.attachHostProfiler(&prof);
     for (int i = 0; i < 6400; ++i)
         sim.step();
@@ -144,7 +144,7 @@ TEST(HostProfiler, KpiOnlyModeNeverTimesComponents)
 {
     Simulator sim;
     SpinModule m(sim, "m", 10);
-    HostProfiler prof(HostProfiler::Mode::KpiOnly);
+    HostProfiler prof(0);
     sim.attachHostProfiler(&prof);
     for (int i = 0; i < 1000; ++i)
         sim.step();
@@ -159,7 +159,7 @@ TEST(HostProfiler, HeartbeatStaysBoundedOnLongRuns)
     // kicks in: past kMaxHeartbeatPoints the window doubles and every
     // other point is dropped, so the series stays bounded no matter
     // how long the run is.
-    HostProfiler prof(HostProfiler::Mode::KpiOnly, 64, 1);
+    HostProfiler prof(0, 1);
     for (u64 i = 0; i < 100000; ++i)
         prof.onCycle();
     EXPECT_FALSE(prof.heartbeat().empty());
@@ -175,7 +175,7 @@ TEST(HostProfiler, ComponentsAccumulateAcrossAttachments)
 {
     // Benches build one SoC per configuration but reuse the profiler;
     // same-named components must merge rather than duplicate.
-    HostProfiler prof(HostProfiler::Mode::Scoped);
+    HostProfiler prof(1);
     for (int round = 0; round < 2; ++round) {
         Simulator sim;
         SpinModule m(sim, "ddr", 100);
@@ -193,17 +193,26 @@ TEST(HostProfiler, ComponentsAccumulateAcrossAttachments)
 
 // ---- non-interference ----------------------------------------------
 
-/**
- * Canonical vecadd workload; returns the full stats-tree JSON plus the
- * final cycle count as a digest (same shape as determinism_test.cc).
- * When @p prof is non-null the run is profiled.
- */
-std::string
-vecAddStatsDigest(u64 seed, HostProfiler *prof)
+/** One vecadd run's stats digest and the module ticks it executed. */
+struct VecAddRun
 {
+    std::string digest;
+    u64 moduleTicks = 0;
+};
+
+/**
+ * Canonical vecadd workload on the event kernel; the digest is the
+ * full stats-tree JSON plus the final cycle count (same shape as
+ * determinism_test.cc). When @p prof is non-null the run is profiled.
+ */
+VecAddRun
+vecAddRun(u64 seed, HostProfiler *prof)
+{
+    const u64 ticks_before = globalModuleTicks();
     SimulationPlatform platform;
     AcceleratorConfig cfg(VecAddCore::systemConfig(2));
     AcceleratorSoc soc(std::move(cfg), platform);
+    soc.sim().setKernel(SimKernel::Event);
     if (prof != nullptr)
         soc.sim().attachHostProfiler(prof);
     RuntimeServer server(soc);
@@ -233,19 +242,27 @@ vecAddStatsDigest(u64 seed, HostProfiler *prof)
     std::ostringstream os;
     soc.sim().stats().dumpJson(os);
     os << "@" << soc.sim().cycle();
-    return os.str();
+    return {os.str(), globalModuleTicks() - ticks_before};
 }
 
 TEST(HostProfiler, ProfiledRunIsBitIdenticalToUnprofiled)
 {
-    const std::string plain = vecAddStatsDigest(0xD5EED, nullptr);
-    HostProfiler scoped(HostProfiler::Mode::Scoped);
-    const std::string profiled = vecAddStatsDigest(0xD5EED, &scoped);
-    EXPECT_EQ(plain, profiled);
-    EXPECT_FALSE(plain.empty());
-    // And the profiler really ran: it saw every simulated cycle.
-    EXPECT_GT(scoped.sampledCycles(), 0u);
-    EXPECT_GT(scoped.totalNs(), 0u);
+    // The profiler must observe the kernel the run selected: same
+    // digest and the same module ticks (sleepers stay asleep) at the
+    // default sampling period and when every cycle is measured.
+    const VecAddRun plain = vecAddRun(0xD5EED, nullptr);
+    EXPECT_FALSE(plain.digest.empty());
+    EXPECT_GT(plain.moduleTicks, 0u);
+    for (const u32 period : {64u, 1u}) {
+        HostProfiler prof(period);
+        const VecAddRun profiled = vecAddRun(0xD5EED, &prof);
+        EXPECT_EQ(plain.digest, profiled.digest) << "period " << period;
+        EXPECT_EQ(plain.moduleTicks, profiled.moduleTicks)
+            << "period " << period;
+        // And the profiler really ran: it timed some cycles.
+        EXPECT_GT(prof.sampledCycles(), 0u) << "period " << period;
+        EXPECT_GT(prof.totalNs(), 0u) << "period " << period;
+    }
 }
 
 // ---- run-level KPI sources -----------------------------------------
@@ -280,7 +297,7 @@ TEST(Kpi, HostClockIsMonotonic)
 
 TEST(Kpi, PerfJsonIsParseableAndCarriesKpis)
 {
-    HostProfiler prof(HostProfiler::Mode::Scoped);
+    HostProfiler prof(1);
     Simulator sim;
     SpinModule m(sim, "m", 50);
     sim.attachHostProfiler(&prof);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "accel/vecadd.h"
 #include "platform/aws_f1.h"
 #include "platform/sim_platform.h"
@@ -140,6 +142,40 @@ TEST(RuntimeServer, OutOfOrderCollection)
     slow.get();
     fast.get();
     SUCCEED();
+}
+
+TEST(RuntimeServer, BackToBackInvokesDrainResponsesWhileBlocked)
+{
+    // Send more commands than the response path can hold without
+    // collecting any. Once responses back up, the cores stop taking
+    // commands and CMD_READY reads 0; sendCommand must drain responses
+    // while it waits, or the command path never frees. The watchdog
+    // turns a regression into a ConfigError instead of a hang.
+    SimulationPlatform platform;
+    AcceleratorSoc soc(AcceleratorConfig(VecAddCore::systemConfig(1)),
+                       platform);
+    soc.sim().setWatchdog(100000);
+    RuntimeServer server(soc);
+    fpga_handle_t handle(server);
+
+    const unsigned n = 16, invokes = 24;
+    remote_ptr buf = handle.malloc(n * sizeof(u32));
+    auto *vals = buf.as<u32>();
+    for (unsigned i = 0; i < n; ++i)
+        vals[i] = i;
+    handle.copy_to_fpga(buf);
+
+    std::vector<response_handle<u64>> handles;
+    EXPECT_NO_THROW({
+        for (unsigned i = 0; i < invokes; ++i)
+            handles.push_back(handle.invoke("MyAcceleratorSystem",
+                                            "my_accel", 0,
+                                            {1, buf.getFpgaAddr(), n}));
+    });
+    ASSERT_EQ(handles.size(), invokes);
+    for (auto &h : handles)
+        EXPECT_NO_THROW(h.get());
+    EXPECT_EQ(server.inFlight(), 0u);
 }
 
 TEST(RuntimeServer, HungAcceleratorTimesOut)

@@ -14,8 +14,9 @@
 #                fixture out of the repo)
 #   5. sanitize  ASan+UBSan smoke in the sanitize preset's build tree
 #                when it exists (configure with `cmake --preset
-#                sanitize` to opt in; skipped otherwise): the kernel
-#                suites plus a tick-vs-event soc_fuzz differential
+#                sanitize` to opt in; skipped otherwise): the kernel,
+#                host-profiler and runtime-server suites plus a
+#                tick-vs-event soc_fuzz differential
 #
 # Usage: tools/run_checks.sh [BUILD_DIR]
 #   BUILD_DIR  build tree holding the tools (default: build)
@@ -68,7 +69,8 @@ fi
 echo "== run_checks: 5/5 sanitize (ASan+UBSan smoke) =="
 san_dir="$repo_root/build-sanitize"
 if [ -f "$san_dir/CTestTestfile.cmake" ]; then
-    (cd "$san_dir" && ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel' \
+    (cd "$san_dir" &&
+        ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel|HostProfiler|RuntimeServer' \
         --output-on-failure -j "$(nproc)") || fail sanitize
     "$san_dir/tools/soc_fuzz" --differential --seed=1 --iterations=3 ||
         fail sanitize
