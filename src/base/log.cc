@@ -28,6 +28,12 @@ formatMessage(const char *fmt, ...)
     return std::string(buf.data(), static_cast<std::size_t>(needed));
 }
 
+std::string
+fatalText(const char *file, int line, const std::string &msg)
+{
+    return formatMessage("fatal: %s (at %s:%d)", msg.c_str(), file, line);
+}
+
 } // namespace detail
 
 namespace
@@ -45,8 +51,7 @@ panicImpl(const char *file, int line, const std::string &msg)
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
-    throw ConfigError(detail::formatMessage("fatal: %s (at %s:%d)",
-                                            msg.c_str(), file, line));
+    throw ConfigError(detail::fatalText(file, line, msg));
 }
 
 void

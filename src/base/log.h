@@ -37,6 +37,9 @@ namespace detail
 std::string formatMessage(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/** The what() text fatal() throws: "fatal: MSG (at FILE:LINE)". */
+std::string fatalText(const char *file, int line, const std::string &msg);
+
 } // namespace detail
 
 /**

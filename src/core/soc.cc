@@ -2,10 +2,9 @@
 
 #include <algorithm>
 
-#include "analysis/analyze.h"
 #include "base/log.h"
 #include "core/elab_params.h"
-#include "lint/lint.h"
+#include "lint/sim_graph.h"
 #include "mem/resource_model.h"
 #include "power/power.h"
 #include "trace/trace.h"
@@ -97,6 +96,24 @@ class IntraCoreBridge : public Module
     bool _broadcast;
 };
 
+/**
+ * Throw @p found, the findings of one checker pass, as fatal() would
+ * word them, carrying @p report: every finding so far.
+ */
+[[noreturn]] void
+failComposition(const char *headline, const lint::DiagnosticReport &found,
+                lint::DiagnosticReport report)
+{
+    throw lint::CompositionError(
+        detail::fatalText(
+            __FILE__, __LINE__,
+            detail::formatMessage("%s: %zu error(s), %zu warning(s)\n%s",
+                                  headline, found.errorCount(),
+                                  found.warningCount(),
+                                  found.format().c_str())),
+        std::move(report));
+}
+
 } // namespace
 
 AcceleratorSoc::AcceleratorSoc(AcceleratorConfig config,
@@ -148,8 +165,8 @@ AcceleratorSoc::AcceleratorSoc(AcceleratorConfig config,
     checkFit();
     buildPowerLedger();
 
-    // Static analysis of the elaborated simulation graph: prove the
-    // wake/sleep contract (DESIGN.md §5d).
+    // The checker's graph pass over the elaborated simulation graph:
+    // prove the wake/sleep contract (DESIGN.md §5c).
     validateGraph();
 }
 
@@ -388,44 +405,26 @@ AcceleratorSoc::buildPowerLedger()
 void
 AcceleratorSoc::validateGraph()
 {
-    if (analysis::socGraphValidationDeferred())
-        return;
-    const lint::DiagnosticReport report = analysis::analyzeSoc(*this);
-    if (report.hasErrors()) {
-        fatal("simulation-graph contract violated: %zu error(s), "
-              "%zu warning(s)\n%s",
-              report.errorCount(), report.warningCount(),
-              report.format().c_str());
-    }
-}
-
-lint::DiagnosticReport
-AcceleratorSoc::analyzeGraph() const
-{
-    return analysis::analyzeSoc(*this);
+    const lint::SimGraph graph = lint::buildSimGraph(_sim);
+    const lint::DiagnosticReport found = lint::runRules(&_model, &graph);
+    _diagnostics.append(found);
+    if (found.hasErrors())
+        failComposition("simulation-graph contract violated", found,
+                        _diagnostics);
 }
 
 void
 AcceleratorSoc::validate()
 {
-    // Run the composition linter over the unbuilt config so that an
+    // Run the composition rules over the unbuilt config so that an
     // invalid composition reports *every* violation in one failure
     // instead of first-error-wins. Warnings alone never block a
-    // build; surface them with tools/soc_lint.
-    const lint::DiagnosticReport report =
-        lint::lintComposition(_config, _platform);
-    if (report.hasErrors()) {
-        fatal("invalid composition: %zu error(s), %zu warning(s)\n%s",
-              report.errorCount(), report.warningCount(),
-              report.format().c_str());
-    }
-}
-
-ResourceVec
-AcceleratorSoc::estimateCoreLogic(const AcceleratorSystemConfig &sys,
-                                  const AxiConfig &bus) const
-{
-    return beethoven::estimateCoreLogic(sys, _platform, bus);
+    // build; they stay readable through diagnostics().
+    _model = lint::buildCompositionModel(_config, _platform);
+    _diagnostics = lint::runRules(&_model);
+    if (_diagnostics.hasErrors())
+        failComposition("invalid composition", _diagnostics,
+                        _diagnostics);
 }
 
 void
@@ -434,7 +433,7 @@ AcceleratorSoc::placeCores()
     _coreSlr.resize(_config.systems.size());
     for (u32 s = 0; s < _config.systems.size(); ++s) {
         const auto &sys = _config.systems[s];
-        const ResourceVec est = estimateCoreLogic(sys, _bus);
+        const ResourceVec &est = _model.systemCoreLogic[s];
         _coreSlr[s].resize(sys.nCores);
         for (u32 c = 0; c < sys.nCores; ++c) {
             _coreSlr[s][c] = _floorplan->placeCore(
@@ -900,7 +899,7 @@ AcceleratorSoc::coreSlrs(const std::string &system_name) const
 ResourceVec
 AcceleratorSoc::coreLogicResources(const std::string &system_name) const
 {
-    return estimateCoreLogic(systemConfig(system_name), _bus);
+    return _model.systemCoreLogic[systemIdOf(system_name)];
 }
 
 } // namespace beethoven

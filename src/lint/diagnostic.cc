@@ -83,7 +83,7 @@ diagnosticRegistry()
          "core logic estimate does not fit on any SLR"},
         {"BTH051", "placement", Severity::Error,
          "aggregate core logic exceeds total device capacity"},
-        // --- graph layer (simulation-graph analyzer, §5d) ----------
+        // --- graph layer (elaborated simulation graph) -------------
         {"BTH100", "graph", Severity::Error,
          "sleepable consumer without an armed push-wake"},
         {"BTH101", "graph", Severity::Error,
@@ -160,6 +160,12 @@ DiagnosticReport::codes() const
             out.push_back(d.code);
     }
     return out;
+}
+
+void
+DiagnosticReport::append(const DiagnosticReport &other)
+{
+    _diags.insert(_diags.end(), other._diags.begin(), other._diags.end());
 }
 
 bool

@@ -2,7 +2,7 @@
  * @file
  * Structured composition diagnostics.
  *
- * Every finding the elaboration-time linter (lint/lint.h) can produce
+ * Every finding the composition checker (lint/lint.h) can produce
  * is identified by a stable code ("BTH012") drawn from a central
  * registry. A DiagnosticReport collects *all* findings of a lint pass
  * instead of throwing on the first, so one failed build reports every
@@ -17,6 +17,8 @@
 #include <cstddef>
 #include <string>
 #include <vector>
+
+#include "base/log.h"
 
 namespace beethoven::lint
 {
@@ -46,7 +48,7 @@ struct DiagnosticCodeInfo
 {
     const char *code;
     const char *layer; ///< config | memory | axi | noc | placement
-                       ///< | graph (BTH1xx, src/analysis/)
+                       ///< | graph (BTH1xx, over the elaborated graph)
     Severity severity; ///< severity this code is emitted with
     const char *summary;
 };
@@ -83,6 +85,9 @@ class DiagnosticReport
     /** Codes present in this report, deduplicated, in emission order. */
     std::vector<std::string> codes() const;
 
+    /** Append every finding of @p other, in order. */
+    void append(const DiagnosticReport &other);
+
     /** True if any finding carries @p code. */
     bool has(const std::string &code) const;
 
@@ -100,6 +105,26 @@ class DiagnosticReport
 
   private:
     std::vector<Diagnostic> _diags;
+};
+
+/**
+ * Thrown by AcceleratorSoc elaboration when the checker finds an
+ * error-severity defect. what() is the fatal() message of the failing
+ * pass; report() carries every finding of the elaboration so far
+ * (warnings of earlier passes included), so callers get the structured
+ * report without re-running the checker.
+ */
+class CompositionError : public ConfigError
+{
+  public:
+    CompositionError(const std::string &what_arg, DiagnosticReport report)
+        : ConfigError(what_arg), _report(std::move(report))
+    {}
+
+    const DiagnosticReport &report() const { return _report; }
+
+  private:
+    DiagnosticReport _report;
 };
 
 } // namespace beethoven::lint

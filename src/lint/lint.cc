@@ -93,27 +93,31 @@ buildCompositionModel(const AcceleratorConfig &config,
     return m;
 }
 
-std::vector<LintRuleEntry>
+const std::vector<LintRuleEntry> &
 lintRules()
 {
-    std::vector<LintRuleEntry> all;
-    for (const auto *table :
-         {&configLintRules(), &memoryLintRules(), &axiLintRules(),
-          &nocLintRules(), &placementLintRules()}) {
-        all.insert(all.end(), table->begin(), table->end());
-    }
+    static const std::vector<LintRuleEntry> all = [] {
+        std::vector<LintRuleEntry> rules;
+        for (const auto *table :
+             {&configLintRules(), &memoryLintRules(), &axiLintRules(),
+              &nocLintRules(), &placementLintRules(), &graphLintRules()})
+            rules.insert(rules.end(), table->begin(), table->end());
+        return rules;
+    }();
     return all;
 }
 
 DiagnosticReport
-lintComposition(const AcceleratorConfig &config,
-                const Platform &platform)
+runRules(const CompositionModel *model, const SimGraph *graph)
 {
-    const CompositionModel model =
-        buildCompositionModel(config, platform);
     DiagnosticReport report;
-    for (const LintRuleEntry &rule : lintRules())
-        rule.fn(model, report);
+    for (const LintRuleEntry &rule : lintRules()) {
+        if (graph != nullptr && rule.graphFn != nullptr)
+            rule.graphFn(*graph, model, report);
+        else if (graph == nullptr && model != nullptr &&
+                 rule.fn != nullptr)
+            rule.fn(*model, report);
+    }
     return report;
 }
 

@@ -1,23 +1,27 @@
 /**
  * @file
- * Elaboration-time composition linter.
+ * The composition checker: one rule table over one model.
  *
- * lintComposition() statically analyzes an *unbuilt* AcceleratorConfig
- * against a Platform — no Simulator, no module construction — and
- * returns every composition defect it can prove, as structured
- * diagnostics (lint/diagnostic.h). AcceleratorSoc elaboration runs it
- * first and fails with the full report when any error-severity finding
- * exists, so an invalid composition reports all of its violations in
- * one build failure instead of first-error-wins.
+ * runRules() statically analyzes a composition and returns every
+ * defect it can prove, as structured diagnostics (lint/diagnostic.h).
+ * AcceleratorSoc elaboration runs it in two passes over one
+ * CompositionModel: the composition layers over the *unbuilt*
+ * AcceleratorConfig + Platform before any module is constructed, and
+ * the graph layer (the event kernel's wake/sleep contract, over the
+ * elaborated SimGraph) at the end of the constructor. Either pass
+ * throws a CompositionError carrying the full report when an
+ * error-severity finding exists, so an invalid composition reports all
+ * of its violations in one build failure instead of first-error-wins.
  *
- * Rules are organized by layer (config, memory, axi, noc, placement),
- * each layer a rules_<layer>.cc translation unit contributing a named
- * rule table. Rules share a precomputed CompositionModel: the resolved
- * view of the config (platform defaults applied, AXI IDs counted, core
- * logic estimated) that real elaboration would act on. To add a rule:
- * register its code in lint/diagnostic.cc, append a LintRuleEntry to
- * the appropriate layer table, and add a positive + negative case to
- * tests/lint_test.cc (DESIGN.md §5c).
+ * Rules are organized by layer (config, memory, axi, noc, placement,
+ * graph), each layer a rules_<layer>.cc translation unit contributing a
+ * named rule table. Composition rules share a precomputed
+ * CompositionModel: the resolved view of the config (platform defaults
+ * applied, AXI IDs counted, core logic estimated) that real
+ * elaboration acts on. To add a rule: register its code in
+ * lint/diagnostic.cc, append a LintRuleEntry to the appropriate layer
+ * table, and add a positive + negative case to tests/lint_test.cc (or
+ * tests/analysis_test.cc for the graph layer; DESIGN.md §5c).
  */
 
 #ifndef BEETHOVEN_LINT_LINT_H
@@ -28,6 +32,7 @@
 
 #include "core/config.h"
 #include "lint/diagnostic.h"
+#include "lint/sim_graph.h"
 #include "mem/memory_compiler.h"
 #include "platform/platform.h"
 
@@ -87,12 +92,20 @@ struct CompositionModel
 CompositionModel buildCompositionModel(const AcceleratorConfig &config,
                                        const Platform &platform);
 
-/** One registered lint rule. */
+/**
+ * One registered rule. Composition-layer rules (BTH0xx) set @c fn and
+ * run over the model before anything is built; graph-layer rules
+ * (BTH1xx) set @c graphFn and run over the elaborated SimGraph, with
+ * the model when one is supplied (null for hand-built graphs, in which
+ * case model-dependent rules such as the census skip themselves).
+ */
 struct LintRuleEntry
 {
     const char *name;  ///< short kebab-case rule name
-    const char *layer; ///< config | memory | axi | noc | placement
-    void (*fn)(const CompositionModel &, DiagnosticReport &);
+    const char *layer; ///< config | memory | axi | noc | placement | graph
+    void (*fn)(const CompositionModel &, DiagnosticReport &) = nullptr;
+    void (*graphFn)(const SimGraph &, const CompositionModel *,
+                    DiagnosticReport &) = nullptr;
 };
 
 /** Per-layer rule tables (defined in rules_<layer>.cc). */
@@ -101,13 +114,19 @@ const std::vector<LintRuleEntry> &memoryLintRules();
 const std::vector<LintRuleEntry> &axiLintRules();
 const std::vector<LintRuleEntry> &nocLintRules();
 const std::vector<LintRuleEntry> &placementLintRules();
+const std::vector<LintRuleEntry> &graphLintRules();
 
-/** Every registered rule, in layer order. */
-std::vector<LintRuleEntry> lintRules();
+/** Every registered rule, in layer order (BTH0xx, then BTH1xx). */
+const std::vector<LintRuleEntry> &lintRules();
 
-/** Run every rule over @p config / @p platform. Never throws. */
-DiagnosticReport lintComposition(const AcceleratorConfig &config,
-                                 const Platform &platform);
+/**
+ * Run one checking pass. Without @p graph: every composition-layer
+ * rule over @p model (the pre-build pass). With @p graph: every
+ * graph-layer rule (the post-build pass); the census compares against
+ * @p model only when it is non-null. Never throws.
+ */
+DiagnosticReport runRules(const CompositionModel *model,
+                          const SimGraph *graph = nullptr);
 
 /** "systems[i]" (+ ".name" when the system is named). */
 std::string systemPath(const CompositionModel &m, std::size_t idx);

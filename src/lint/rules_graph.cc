@@ -14,18 +14,13 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analyze.h"
 #include "lint/lint.h"
 
-namespace beethoven
-{
-namespace analysis
+namespace beethoven::lint
 {
 
 namespace
 {
-
-using lint::DiagnosticReport;
 
 std::string
 moduleRef(const SimGraph &g, int idx)
@@ -38,7 +33,7 @@ moduleRef(const SimGraph &g, int idx)
 /** BTH100: sleepable consumer of a queue with no armed push-wake. */
 void
 rulePushWakeSoundness(const SimGraph &g,
-                      const lint::CompositionModel *,
+                      const CompositionModel *,
                       DiagnosticReport &rep)
 {
     for (const GraphEdge &e : g.edges) {
@@ -63,7 +58,7 @@ rulePushWakeSoundness(const SimGraph &g,
 
 /** BTH101: push-wake armed at a module that is not the consumer. */
 void
-rulePushWakeTarget(const SimGraph &g, const lint::CompositionModel *,
+rulePushWakeTarget(const SimGraph &g, const CompositionModel *,
                    DiagnosticReport &rep)
 {
     for (const GraphEdge &e : g.edges) {
@@ -84,7 +79,7 @@ rulePushWakeTarget(const SimGraph &g, const lint::CompositionModel *,
 
 /** BTH102: sleepable module with no reachable wake source at all. */
 void
-ruleWakeReachability(const SimGraph &g, const lint::CompositionModel *,
+ruleWakeReachability(const SimGraph &g, const CompositionModel *,
                      DiagnosticReport &rep)
 {
     for (std::size_t i = 0; i < g.modules.size(); ++i) {
@@ -117,7 +112,7 @@ ruleWakeReachability(const SimGraph &g, const lint::CompositionModel *,
 
 /** BTH103: self-wake declared on a module that never sleeps. */
 void
-ruleSelfWakePairing(const SimGraph &g, const lint::CompositionModel *,
+ruleSelfWakePairing(const SimGraph &g, const CompositionModel *,
                     DiagnosticReport &rep)
 {
     for (const GraphModule &m : g.modules) {
@@ -142,7 +137,7 @@ ruleSelfWakePairing(const SimGraph &g, const lint::CompositionModel *,
  * and any future zero-latency (combinational) channel.
  */
 void
-ruleZeroLatencyCycles(const SimGraph &g, const lint::CompositionModel *,
+ruleZeroLatencyCycles(const SimGraph &g, const CompositionModel *,
                       DiagnosticReport &rep)
 {
     const std::size_t n = g.modules.size();
@@ -196,7 +191,7 @@ ruleZeroLatencyCycles(const SimGraph &g, const lint::CompositionModel *,
 
 /** BTH105: one module on both wake ends of the same queue. */
 void
-ruleSelfWakeLoop(const SimGraph &g, const lint::CompositionModel *,
+ruleSelfWakeLoop(const SimGraph &g, const CompositionModel *,
                  DiagnosticReport &rep)
 {
     for (const GraphEdge &e : g.edges) {
@@ -214,9 +209,48 @@ ruleSelfWakeLoop(const SimGraph &g, const lint::CompositionModel *,
     }
 }
 
+/**
+ * Placement-independent module census the composition model implies:
+ * what elaboration must have built, by role. NoC node counts are
+ * placement-dependent and deliberately excluded.
+ */
+struct GraphShape
+{
+    u64 cores = 0;
+    u64 readers = 0;
+    u64 writers = 0;
+    u64 scratchpads = 0;
+    u64 bridges = 0;
+    u64 pumps = 0;
+    u64 drams = 1;
+    u64 mmios = 1;
+    u64 probes = 1;
+};
+
+GraphShape
+predictGraphShape(const CompositionModel &model)
+{
+    GraphShape shape;
+    shape.readers = model.readEndpoints;
+    shape.writers = model.writeEndpoints;
+    for (const auto &sys : model.config->systems) {
+        shape.cores += sys.nCores;
+        shape.scratchpads +=
+            u64(sys.nCores) *
+            (sys.scratchpads.size() + sys.intraMemoryIns.size());
+        for (const auto &pout : sys.intraMemoryOuts)
+            shape.bridges += u64(sys.nCores) * pout.nChannels;
+    }
+    // The command pump always exists; the r/b return pumps only when
+    // the matching memory fabric was built at all.
+    shape.pumps = 1 + (model.readEndpoints > 0 ? 1 : 0) +
+                  (model.writeEndpoints > 0 ? 1 : 0);
+    return shape;
+}
+
 /** BTH106: module census vs. what the composition model implies. */
 void
-ruleCensus(const SimGraph &g, const lint::CompositionModel *model,
+ruleCensus(const SimGraph &g, const CompositionModel *model,
            DiagnosticReport &rep)
 {
     if (model == nullptr)
@@ -274,20 +308,19 @@ ruleCensus(const SimGraph &g, const lint::CompositionModel *model,
 
 } // namespace
 
-const std::vector<GraphRuleEntry> &
-graphRules()
+const std::vector<LintRuleEntry> &
+graphLintRules()
 {
-    static const std::vector<GraphRuleEntry> rules = {
-        {"push-wake-soundness", "graph", rulePushWakeSoundness},
-        {"push-wake-target", "graph", rulePushWakeTarget},
-        {"wake-reachability", "graph", ruleWakeReachability},
-        {"self-wake-pairing", "graph", ruleSelfWakePairing},
-        {"zero-latency-cycles", "graph", ruleZeroLatencyCycles},
-        {"self-wake-loop", "graph", ruleSelfWakeLoop},
-        {"module-census", "graph", ruleCensus},
+    static const std::vector<LintRuleEntry> rules = {
+        {"push-wake-soundness", "graph", nullptr, rulePushWakeSoundness},
+        {"push-wake-target", "graph", nullptr, rulePushWakeTarget},
+        {"wake-reachability", "graph", nullptr, ruleWakeReachability},
+        {"self-wake-pairing", "graph", nullptr, ruleSelfWakePairing},
+        {"zero-latency-cycles", "graph", nullptr, ruleZeroLatencyCycles},
+        {"self-wake-loop", "graph", nullptr, ruleSelfWakeLoop},
+        {"module-census", "graph", nullptr, ruleCensus},
     };
     return rules;
 }
 
-} // namespace analysis
-} // namespace beethoven
+} // namespace beethoven::lint

@@ -1,4 +1,4 @@
-#include "analysis/sim_graph.h"
+#include "lint/sim_graph.h"
 
 #include <unordered_map>
 
@@ -6,7 +6,7 @@
 
 namespace beethoven
 {
-namespace analysis
+namespace lint
 {
 
 SimGraph
@@ -55,5 +55,5 @@ buildSimGraph(const Simulator &sim)
     return g;
 }
 
-} // namespace analysis
+} // namespace lint
 } // namespace beethoven

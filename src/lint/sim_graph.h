@@ -1,7 +1,7 @@
 /**
  * @file
- * SimGraph — the immutable module/queue connectivity IR the static
- * analyzer rules run over (DESIGN.md §5d).
+ * SimGraph — the immutable module/queue connectivity IR the
+ * graph-layer checker rules (BTH1xx) run over (DESIGN.md §5c).
  *
  * Lowered from a Simulator's SimGraphRecord after elaboration: modules
  * become index-addressed nodes, every TimedQueue becomes a directed
@@ -10,8 +10,8 @@
  * hand.
  */
 
-#ifndef BEETHOVEN_ANALYSIS_SIM_GRAPH_H
-#define BEETHOVEN_ANALYSIS_SIM_GRAPH_H
+#ifndef BEETHOVEN_LINT_SIM_GRAPH_H
+#define BEETHOVEN_LINT_SIM_GRAPH_H
 
 #include <string>
 #include <vector>
@@ -24,7 +24,7 @@ namespace beethoven
 
 class Simulator;
 
-namespace analysis
+namespace lint
 {
 
 constexpr int kNoIndex = -1;
@@ -90,10 +90,10 @@ struct SimGraph
     std::vector<GraphEdge> edges;
 };
 
-/** Lower @p sim's registration record into the analyzer IR. */
+/** Lower @p sim's registration record into the checker IR. */
 SimGraph buildSimGraph(const Simulator &sim);
 
-} // namespace analysis
+} // namespace lint
 } // namespace beethoven
 
-#endif // BEETHOVEN_ANALYSIS_SIM_GRAPH_H
+#endif // BEETHOVEN_LINT_SIM_GRAPH_H

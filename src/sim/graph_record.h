@@ -6,9 +6,9 @@
  * registrations, and sleep declarations all note themselves here as
  * they are constructed, with std::source_location provenance. The
  * record is pure metadata: it is never consulted on the simulation
- * fast path. src/analysis/ lowers it to an immutable SimGraph IR and
- * proves the wake/sleep contract and livelock freedom before a single
- * cycle runs (DESIGN.md §5d).
+ * fast path. The composition checker (src/lint/) lowers it to an
+ * immutable SimGraph IR and proves the wake/sleep contract and livelock
+ * freedom before a single cycle runs (DESIGN.md §5c).
  */
 
 #ifndef BEETHOVEN_SIM_GRAPH_RECORD_H
@@ -57,9 +57,9 @@ struct SourceSite
  * Arm the wake-violation plant: the @p nth subsequent call to
  * TimedQueue::setWakeOnPush records the consumer declaration but skips
  * arming the wake — a deliberately planted lost-wake bug that the
- * static analyzer must catch (BTH100). Auto-disarms after firing;
- * 0 disarms immediately. Used by soc_fuzz --plant-wake-violation and
- * the analysis tests; never set in production paths.
+ * checker's graph pass must catch (BTH100). Auto-disarms after firing;
+ * 0 disarms immediately. Used by soc_fuzz --plant-wake-violation,
+ * soc_lint and the graph-rule tests; never set in production paths.
  */
 void plantMissingPushWake(u64 nth);
 

@@ -97,7 +97,7 @@ class Module
     /**
      * Declare (in the simulator's graph record) that this module may
      * sleep. The static analyzer uses the declaration to demand a
-     * reachable wake source (BTH100/BTH102, DESIGN.md §5d); the first
+     * reachable wake source (BTH100/BTH102, DESIGN.md §5c); the first
      * requestSleep/sleepWith asserts it was made, so declaration and
      * behaviour cannot skew. Call once from the constructor.
      */

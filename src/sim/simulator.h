@@ -96,8 +96,8 @@ class Simulator
     }
 
     /**
-     * The registration-time connectivity record consumed by the static
-     * analyzer (src/analysis/, DESIGN.md §5d). Metadata only — never
+     * The registration-time connectivity record consumed by the
+     * checker's graph pass (src/lint/, DESIGN.md §5c). Metadata only — never
      * read on the simulation fast path.
      */
     SimGraphRecord &graphRecord() { return _graph; }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the simulation-graph static analyzer (src/analysis/):
- * one positive and one negative case per BTH1xx code over hand-built
+ * Unit tests for the composition checker's graph layer (src/lint/,
+ * BTH1xx): one positive and one negative case per code over hand-built
  * SimGraph IR, the graph lowering of a real elaborated SoC, the
  * planted-wake catch path (a lost-wake bug flagged WITHOUT running a
  * single cycle), and the static/dynamic pairing with the differential
@@ -10,11 +10,14 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/analyze.h"
-#include "analysis/sim_graph.h"
+#include <string>
+
+#include "accel/machsuite/gemm.h"
+#include "accel/memcpy_core.h"
 #include "base/log.h"
 #include "core/soc.h"
 #include "lint/lint.h"
+#include "platform/aws_f1.h"
 #include "sim/graph_record.h"
 #include "verify/fuzz.h"
 #include "verify/random_soc.h"
@@ -25,13 +28,20 @@ namespace beethoven
 namespace
 {
 
-using analysis::GraphEdge;
-using analysis::GraphModule;
-using analysis::kNoIndex;
-using analysis::SimGraph;
+using lint::GraphEdge;
+using lint::GraphModule;
+using lint::kNoIndex;
+using lint::SimGraph;
 using verify::FuzzCase;
 using verify::FuzzKind;
 using verify::FuzzSystem;
+
+/** The graph-layer pass over a hand-built graph (no model). */
+lint::DiagnosticReport
+checkGraph(const SimGraph &g)
+{
+    return lint::runRules(nullptr, &g);
+}
 
 /** Minimal two-module graph: producer feeds consumer over one queue. */
 SimGraph
@@ -68,7 +78,7 @@ TEST(GraphRules, Bth100FiresOnSleepableConsumerWithoutPushWake)
     // (not BTH102) is under test.
     g.edges[0].popWakeArmed = true;
     g.edges[0].producer = 1;
-    const auto rep = analysis::analyzeGraph(g);
+    const auto rep = checkGraph(g);
     EXPECT_TRUE(rep.has("BTH100"));
 }
 
@@ -76,13 +86,13 @@ TEST(GraphRules, Bth100SilentWhenPushWakeArmedOrConsumerPolls)
 {
     SimGraph g = pairGraph();
     g.modules[1].sleepable = true;
-    EXPECT_FALSE(analysis::analyzeGraph(g).has("BTH100"));
+    EXPECT_FALSE(checkGraph(g).has("BTH100"));
 
     // A poll-driven (never-sleeping) consumer needs no push-wake.
     SimGraph g2 = pairGraph();
     g2.edges[0].pushWakeArmed = false;
     g2.edges[0].pushWakeTarget = kNoIndex;
-    EXPECT_FALSE(analysis::analyzeGraph(g2).has("BTH100"));
+    EXPECT_FALSE(checkGraph(g2).has("BTH100"));
 }
 
 // --- BTH101: push-wake armed at a module that is not the consumer --
@@ -91,13 +101,13 @@ TEST(GraphRules, Bth101FiresOnMisdirectedPushWake)
 {
     SimGraph g = pairGraph();
     g.edges[0].pushWakeTarget = 0; // armed at the producer, not 'cons'
-    const auto rep = analysis::analyzeGraph(g);
+    const auto rep = checkGraph(g);
     EXPECT_TRUE(rep.has("BTH101"));
 }
 
 TEST(GraphRules, Bth101SilentWhenWakeTargetsTheConsumer)
 {
-    EXPECT_FALSE(analysis::analyzeGraph(pairGraph()).has("BTH101"));
+    EXPECT_FALSE(checkGraph(pairGraph()).has("BTH101"));
 }
 
 // --- BTH102: sleepable module with no reachable wake source --------
@@ -110,7 +120,7 @@ TEST(GraphRules, Bth102FiresOnUnwakeableSleeper)
     m.sleepable = true;
     m.sleepSite = "tests/synthetic:3";
     g.modules = {m};
-    const auto rep = analysis::analyzeGraph(g);
+    const auto rep = checkGraph(g);
     EXPECT_TRUE(rep.has("BTH102"));
     EXPECT_TRUE(rep.hasErrors());
 }
@@ -121,14 +131,14 @@ TEST(GraphRules, Bth102SilentWithPushWakePopWakeOrSelfWake)
     EXPECT_FALSE([] {
         SimGraph g = pairGraph();
         g.modules[1].sleepable = true;
-        return analysis::analyzeGraph(g).has("BTH102");
+        return checkGraph(g).has("BTH102");
     }());
     // Pop-wake reachable (producer side).
     EXPECT_FALSE([] {
         SimGraph g = pairGraph();
         g.modules[0].sleepable = true;
         g.edges[0].popWakeArmed = true;
-        return analysis::analyzeGraph(g).has("BTH102");
+        return checkGraph(g).has("BTH102");
     }());
     // Self-wake (e.g. the DRAM refresh timer).
     EXPECT_FALSE([] {
@@ -138,7 +148,7 @@ TEST(GraphRules, Bth102SilentWithPushWakePopWakeOrSelfWake)
         m.sleepable = true;
         m.selfWake = true;
         g.modules = {m};
-        return analysis::analyzeGraph(g).has("BTH102");
+        return checkGraph(g).has("BTH102");
     }());
 }
 
@@ -152,7 +162,7 @@ TEST(GraphRules, Bth103FiresOnSelfWakeWithoutSleep)
     m.selfWake = true;
     m.selfWakeSite = "tests/synthetic:4";
     g.modules = {m};
-    EXPECT_TRUE(analysis::analyzeGraph(g).has("BTH103"));
+    EXPECT_TRUE(checkGraph(g).has("BTH103"));
 }
 
 TEST(GraphRules, Bth103SilentWhenPaired)
@@ -163,7 +173,7 @@ TEST(GraphRules, Bth103SilentWhenPaired)
     m.selfWake = true;
     m.sleepable = true;
     g.modules = {m};
-    EXPECT_FALSE(analysis::analyzeGraph(g).has("BTH103"));
+    EXPECT_FALSE(checkGraph(g).has("BTH103"));
 }
 
 // --- BTH104: zero-latency wake cycles ------------------------------
@@ -188,7 +198,7 @@ TEST(GraphRules, Bth104FiresOnZeroLatencyCycle)
     ba.pushWakeTarget = 0;
     ba.latency = 0;
     g.edges = {ab, ba};
-    const auto rep = analysis::analyzeGraph(g);
+    const auto rep = checkGraph(g);
     EXPECT_TRUE(rep.has("BTH104"));
     EXPECT_TRUE(rep.hasErrors());
 }
@@ -212,7 +222,7 @@ TEST(GraphRules, Bth104SilentWhenAnyHopHasLatency)
     ba.pushWakeTarget = 0;
     ba.latency = 1; // a real TimedQueue: breaks the same-cycle loop
     g.edges = {ab, ba};
-    EXPECT_FALSE(analysis::analyzeGraph(g).has("BTH104"));
+    EXPECT_FALSE(checkGraph(g).has("BTH104"));
 }
 
 // --- BTH105: producer is its own push-wake target ------------------
@@ -221,12 +231,12 @@ TEST(GraphRules, Bth105FiresOnSelfWakeLoop)
 {
     SimGraph g = pairGraph();
     g.edges[0].pushWakeTarget = 0; // producer wakes itself on push
-    EXPECT_TRUE(analysis::analyzeGraph(g).has("BTH105"));
+    EXPECT_TRUE(checkGraph(g).has("BTH105"));
 }
 
 TEST(GraphRules, Bth105SilentOnNormalWiring)
 {
-    EXPECT_FALSE(analysis::analyzeGraph(pairGraph()).has("BTH105"));
+    EXPECT_FALSE(checkGraph(pairGraph()).has("BTH105"));
 }
 
 // --- Real-SoC lowering, census, and the planted-wake catch ---------
@@ -243,14 +253,50 @@ memcpyCase()
     return c;
 }
 
+/** Findings of the graph layer (BTH1xx) in @p rep. */
+std::size_t
+graphFindingCount(const lint::DiagnosticReport &rep)
+{
+    std::size_t n = 0;
+    for (const lint::Diagnostic &d : rep.diagnostics()) {
+        if (std::string(lint::findDiagnosticCode(d.code)->layer) == "graph")
+            ++n;
+    }
+    return n;
+}
+
 TEST(SocAnalysis, ElaboratedSocIsAnalyzeClean)
 {
     const verify::FuzzPlatform platform(memcpyCase().platform);
     const AcceleratorSoc soc(verify::buildAcceleratorConfig(memcpyCase()),
                              platform);
-    const auto rep = soc.analyzeGraph();
-    EXPECT_FALSE(rep.hasErrors()) << rep.format();
-    EXPECT_EQ(rep.warningCount(), 0u) << rep.format();
+    EXPECT_EQ(graphFindingCount(soc.diagnostics()), 0u)
+        << soc.diagnostics().format();
+}
+
+// soc_lint --preset=fig4|fig6: the paper's compositions carry
+// config-layer warnings (BTH041, and BTH042 on fig6) but nothing on
+// the elaborated graph.
+TEST(SocAnalysis, Fig4PresetHasNoGraphFindings)
+{
+    AwsF1Platform platform;
+    const AcceleratorSoc soc(
+        AcceleratorConfig(
+            MemcpyCore::systemConfig(1, MemcpyCore::Variant{})),
+        platform);
+    EXPECT_EQ(graphFindingCount(soc.diagnostics()), 0u)
+        << soc.diagnostics().format();
+}
+
+TEST(SocAnalysis, Fig6PresetHasNoGraphFindings)
+{
+    AwsF1Platform platform;
+    platform.setClockMHz(125.0);
+    const AcceleratorSoc soc(
+        AcceleratorConfig(machsuite::GemmCore::systemConfig(4)),
+        platform);
+    EXPECT_EQ(graphFindingCount(soc.diagnostics()), 0u)
+        << soc.diagnostics().format();
 }
 
 TEST(SocAnalysis, CensusMatchesCompositionModel)
@@ -258,7 +304,7 @@ TEST(SocAnalysis, CensusMatchesCompositionModel)
     const verify::FuzzPlatform platform(memcpyCase().platform);
     const AcceleratorSoc soc(verify::buildAcceleratorConfig(memcpyCase()),
                              platform);
-    EXPECT_FALSE(soc.analyzeGraph().has("BTH106"));
+    EXPECT_FALSE(soc.diagnostics().has("BTH106"));
 
     // Against a DIFFERENT composition's model the census must flag
     // the role-count skew (positive case for BTH106).
@@ -268,31 +314,45 @@ TEST(SocAnalysis, CensusMatchesCompositionModel)
     const AcceleratorConfig bigger_cfg =
         verify::buildAcceleratorConfig(bigger);
     const auto model = lint::buildCompositionModel(bigger_cfg, platform);
-    const analysis::SimGraph g = analysis::buildSimGraph(soc.sim());
-    EXPECT_TRUE(analysis::analyzeGraph(g, &model).has("BTH106"));
+    const SimGraph g = lint::buildSimGraph(soc.sim());
+    EXPECT_TRUE(lint::runRules(&model, &g).has("BTH106"));
+}
+
+/**
+ * Elaborate @p c with its nth push-wake arming suppressed and return
+ * the report the constructor throws (empty if it does not throw).
+ */
+lint::DiagnosticReport
+elaborateWithMissingPushWake(const FuzzCase &c, u64 nth)
+{
+    const verify::FuzzPlatform platform(c.platform);
+    lint::DiagnosticReport rep;
+    plantMissingPushWake(nth);
+    try {
+        const AcceleratorSoc soc(verify::buildAcceleratorConfig(c),
+                                 platform);
+    } catch (const lint::CompositionError &e) {
+        rep = e.report();
+    }
+    plantMissingPushWake(0);
+    return rep;
 }
 
 TEST(SocAnalysis, PlantedMissingPushWakeIsCaughtStatically)
 {
     // The bug --plant-lost-wake=N plants dynamically (a wake that
     // never arrives) is planted here at its root cause — an unarmed
-    // push-wake — and must be flagged BEFORE a single cycle runs.
-    analysis::ScopedDeferGraphValidation defer;
-    plantMissingPushWake(1);
-    const verify::FuzzPlatform platform(memcpyCase().platform);
-    const AcceleratorSoc soc(verify::buildAcceleratorConfig(memcpyCase()),
-                             platform);
-    plantMissingPushWake(0);
-    EXPECT_EQ(soc.sim().cycle(), 0u) << "analysis must not simulate";
-    const auto rep = soc.analyzeGraph();
+    // push-wake — and must be flagged BEFORE a single cycle runs: the
+    // constructor throws, so no simulation ever exists to step.
+    const auto rep = elaborateWithMissingPushWake(memcpyCase(), 1);
     EXPECT_TRUE(rep.has("BTH100")) << rep.format();
     EXPECT_TRUE(rep.hasErrors());
 }
 
 TEST(SocAnalysis, PlantedMissingPushWakeFailsElaboration)
 {
-    // Without the deferral the constructor-tail validation must
-    // reject the planted graph outright.
+    // Existing catch (const ConfigError &) sites keep working: the
+    // carried-report error is a ConfigError.
     plantMissingPushWake(1);
     const verify::FuzzPlatform platform(memcpyCase().platform);
     EXPECT_THROW(
@@ -307,7 +367,7 @@ TEST(SocAnalysis, PlantedMissingPushWakeFailsElaboration)
 TEST(SocAnalysis, StaticAndDynamicCatchesPairUp)
 {
     // The differential harness catches the planted lost wake at run
-    // time; the analyzer catches the same bug class at build time.
+    // time; the checker catches the same bug class at build time.
     FuzzCase c = memcpyCase();
     verify::RandomTrafficGen traffic(99);
     traffic.generate(c, 1);
@@ -318,34 +378,7 @@ TEST(SocAnalysis, StaticAndDynamicCatchesPairUp)
     EXPECT_NE(dynamic_catch.kind, verify::FailKind::None);
 
     c.plantLostWake = 0;
-    c.plantWakeViolation = 1;
-    lint::DiagnosticReport static_rep;
-    {
-        analysis::ScopedDeferGraphValidation defer;
-        plantMissingPushWake(c.plantWakeViolation);
-        const verify::FuzzPlatform platform(c.platform);
-        const AcceleratorSoc soc(verify::buildAcceleratorConfig(c),
-                                 platform);
-        plantMissingPushWake(0);
-        static_rep = soc.analyzeGraph();
-    }
-    EXPECT_TRUE(static_rep.has("BTH100"));
-}
-
-// --- Diagnostic registry -------------------------------------------
-
-TEST(ShardReport, EveryAnalyzerCodeIsRegisteredWithStableLayer)
-{
-    for (const char *code :
-         {"BTH100", "BTH101", "BTH102", "BTH103", "BTH104", "BTH105",
-          "BTH106"}) {
-        const auto *info = lint::findDiagnosticCode(code);
-        ASSERT_NE(info, nullptr) << code;
-        EXPECT_EQ(std::string(info->layer), "graph") << code;
-    }
-    // The retired shard-layer codes stay unallocated.
-    for (const char *code : {"BTH110", "BTH111", "BTH112", "BTH113"})
-        EXPECT_EQ(lint::findDiagnosticCode(code), nullptr) << code;
+    EXPECT_TRUE(elaborateWithMissingPushWake(c, 1).has("BTH100"));
 }
 
 } // namespace

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the elaboration-time composition linter (src/lint/):
- * the diagnostic registry, one positive and one negative case per
- * diagnostic code, all-findings-at-once collection, and the rewired
- * AcceleratorSoc::validate() failure report.
+ * Tests for the composition checker's composition layers (src/lint/,
+ * BTH0xx): the diagnostic registry and rule table, one positive and
+ * one negative case per diagnostic code, all-findings-at-once
+ * collection, and the report AcceleratorSoc elaboration throws.
  */
 
 #include <gtest/gtest.h>
@@ -78,7 +78,8 @@ DiagnosticReport
 lintWith(const AcceleratorConfig &cfg,
          const Platform &platform = LintTestPlatform())
 {
-    return lint::lintComposition(cfg, platform);
+    const auto model = lint::buildCompositionModel(cfg, platform);
+    return lint::runRules(&model);
 }
 
 // --- registry ---------------------------------------------------------
@@ -97,7 +98,7 @@ TEST(LintRegistry, CoversAllLayersWithStableUniqueCodes)
     }
     const std::set<std::string> expect_layers = {
         "config", "memory", "axi", "noc", "placement",
-        // Simulation-graph analyzer layers (src/analysis/, BTH1xx).
+        // The elaborated simulation graph (BTH1xx).
         "graph"};
     EXPECT_EQ(layers, expect_layers);
     EXPECT_NE(lint::findDiagnosticCode("BTH001"), nullptr);
@@ -106,10 +107,27 @@ TEST(LintRegistry, CoversAllLayersWithStableUniqueCodes)
 
 TEST(LintRegistry, RuleTablesSpanEveryLayer)
 {
-    std::set<std::string> layers;
+    // One rule table: every layer the registry documents has rules.
+    std::set<std::string> rule_layers, registry_layers;
     for (const auto &rule : lint::lintRules())
-        layers.insert(rule.layer);
-    EXPECT_EQ(layers.size(), 5u);
+        rule_layers.insert(rule.layer);
+    for (const auto &info : lint::diagnosticRegistry())
+        registry_layers.insert(info.layer);
+    EXPECT_EQ(rule_layers, registry_layers);
+}
+
+TEST(LintRegistry, EveryGraphCodeIsRegisteredWithStableLayer)
+{
+    for (const char *code :
+         {"BTH100", "BTH101", "BTH102", "BTH103", "BTH104", "BTH105",
+          "BTH106"}) {
+        const auto *info = lint::findDiagnosticCode(code);
+        ASSERT_NE(info, nullptr) << code;
+        EXPECT_EQ(std::string(info->layer), "graph") << code;
+    }
+    // The retired shard-layer codes stay unallocated.
+    for (const char *code : {"BTH110", "BTH111", "BTH112", "BTH113"})
+        EXPECT_EQ(lint::findDiagnosticCode(code), nullptr) << code;
 }
 
 TEST(LintRegistry, ReportStampsSeverityFromRegistry)
@@ -486,6 +504,32 @@ TEST(Lint, ElaborationReportsEveryViolationBeforeFailing)
     }
 }
 
+TEST(Lint, ElaborationErrorCarriesTheFullReport)
+{
+    // The defects of tools/testdata/lint_violation.json: a channel
+    // width and burst the bus cannot take, plus a duplicate-named
+    // system with zero cores and no constructor.
+    AcceleratorConfig cfg = baseConfig();
+    cfg.systems[0].readChannels[0].dataBytes = 24;   // BTH020
+    cfg.systems[0].readChannels[0].burstBeats = 200; // BTH023
+    auto bad = VecAddCore::systemConfig(0);          // BTH004
+    bad.name = "Base";                               // BTH003
+    bad.moduleConstructor = nullptr;                 // BTH006
+    cfg.systems.push_back(bad);
+
+    SimulationPlatform platform;
+    try {
+        AcceleratorSoc soc(cfg, platform);
+        FAIL() << "expected CompositionError";
+    } catch (const lint::CompositionError &e) {
+        const DiagnosticReport &rep = e.report();
+        for (const char *code :
+             {"BTH003", "BTH004", "BTH006", "BTH020", "BTH023"})
+            EXPECT_TRUE(rep.has(code)) << code << "\n" << rep.format();
+        EXPECT_EQ(rep.errorCount(), lintWith(cfg, platform).errorCount());
+    }
+}
+
 TEST(Lint, WarningsAloneDoNotBlockElaboration)
 {
     AcceleratorConfig cfg = baseConfig();
@@ -493,7 +537,9 @@ TEST(Lint, WarningsAloneDoNotBlockElaboration)
     cfg.systems[0].readChannels[0].maxInflight = 4; // BTH032 warning
     ASSERT_TRUE(lintWith(cfg).has("BTH032"));
     SimulationPlatform platform;
-    EXPECT_NO_THROW(AcceleratorSoc(cfg, platform));
+    const AcceleratorSoc soc(cfg, platform);
+    EXPECT_TRUE(soc.diagnostics().has("BTH032"))
+        << soc.diagnostics().format();
 }
 
 TEST(Lint, JsonReportIsWellFormedEnoughToGrep)

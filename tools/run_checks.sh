@@ -2,21 +2,21 @@
 # Unified pre-merge gate: chain every static and dynamic check the
 # repo ships, in cheapest-first order, and stop at the first failure.
 #
-#   1. lint      soc_lint on the clean reference case (composition
-#                contract, BTH0xx)
-#   2. analyze   soc_analyze on the clean case and both paper presets
-#                (wake/sleep contract, BTH1xx)
-#   3. tidy      tools/run_tidy.sh --diff (new clang-tidy warnings in
+#   1. check     soc_lint on the clean reference case and both paper
+#                presets (composition contract BTH0xx, then the
+#                elaborated graph's wake/sleep contract BTH1xx)
+#   2. tidy      tools/run_tidy.sh --diff (new clang-tidy warnings in
 #                changed files only; skips when LLVM is absent)
-#   4. fixtures  every tools/testdata file a ctest names in
+#   3. fixtures  every tools/testdata file a ctest names in
 #                tools/CMakeLists.txt is tracked by git, so a clean
 #                checkout has it (a broad .gitignore rule once kept a
 #                fixture out of the repo)
-#   5. sanitize  ASan+UBSan smoke in the sanitize preset's build tree
+#   4. sanitize  ASan+UBSan smoke in the sanitize preset's build tree
 #                when it exists (configure with `cmake --preset
 #                sanitize` to opt in; skipped otherwise): the kernel,
-#                host-profiler and runtime-server suites plus a
-#                tick-vs-event soc_fuzz differential
+#                host-profiler, runtime-server and checker suites (the
+#                checker runs in every AcceleratorSoc constructor) plus
+#                a tick-vs-event soc_fuzz differential
 #
 # Usage: tools/run_checks.sh [BUILD_DIR]
 #   BUILD_DIR  build tree holding the tools (default: build)
@@ -32,18 +32,15 @@ fail() {
     exit 1
 }
 
-echo "== run_checks: 1/5 lint =="
-"$tools_dir/soc_lint" "$testdata/lint_clean.json" || fail lint
+echo "== run_checks: 1/4 check =="
+"$tools_dir/soc_lint" "$testdata/lint_clean.json" || fail check
+"$tools_dir/soc_lint" --preset=fig4 || fail check
+"$tools_dir/soc_lint" --preset=fig6 || fail check
 
-echo "== run_checks: 2/5 analyze =="
-"$tools_dir/soc_analyze" "$testdata/lint_clean.json" || fail analyze
-"$tools_dir/soc_analyze" --preset=fig4 || fail analyze
-"$tools_dir/soc_analyze" --preset=fig6 || fail analyze
-
-echo "== run_checks: 3/5 tidy (diff) =="
+echo "== run_checks: 2/4 tidy (diff) =="
 "$repo_root/tools/run_tidy.sh" --diff "$build_dir" || fail tidy
 
-echo "== run_checks: 4/5 fixtures (tracked by git) =="
+echo "== run_checks: 3/4 fixtures (tracked by git) =="
 if git -C "$repo_root" rev-parse --is-inside-work-tree >/dev/null 2>&1
 then
     tracked=$(git -C "$repo_root" ls-files tools/testdata)
@@ -66,11 +63,11 @@ else
          "skipping the fixture check"
 fi
 
-echo "== run_checks: 5/5 sanitize (ASan+UBSan smoke) =="
+echo "== run_checks: 4/4 sanitize (ASan+UBSan smoke) =="
 san_dir="$repo_root/build-sanitize"
 if [ -f "$san_dir/CTestTestfile.cmake" ]; then
     (cd "$san_dir" &&
-        ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel|HostProfiler|RuntimeServer' \
+        ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel|HostProfiler|RuntimeServer|Lint|GraphRules|SocAnalysis' \
         --output-on-failure -j "$(nproc)") || fail sanitize
     "$san_dir/tools/soc_fuzz" --differential --seed=1 --iterations=3 ||
         fail sanitize

@@ -16,11 +16,10 @@
  *            [--plant-lost-wake=N] [--plant-wake-violation=N]
  *            [--replay=PATH] [--verbose]
  *
- * Every sampled case is cross-checked against the composition linter
- * (src/lint/) before it runs, and its elaborated simulation graph
- * against the static analyzer (src/analysis/); a sampled case with
- * error-severity findings means the sampler and a checker disagree and
- * is itself a failure.
+ * Every sampled case is elaborated once (zero cycles) before it runs,
+ * so the composition checker (src/lint/) sees both its configuration
+ * and its simulation graph; a sampled case with error-severity findings
+ * means the sampler and the checker disagree and is itself a failure.
  *
  * Exit codes: 0 all iterations clean, 3 a failure was found (repro
  * written if --repro-out), 2 usage or IO error.
@@ -30,10 +29,8 @@
 #include <iostream>
 #include <string>
 
-#include "analysis/analyze.h"
 #include "base/log.h"
 #include "core/soc.h"
-#include "lint/lint.h"
 #include "sim/graph_record.h"
 #include "verify/fuzz.h"
 #include "verify/traffic.h"
@@ -214,69 +211,50 @@ main(int argc, char **argv)
         c.plantLostWake = plant_lost_wake;
         c.plantWakeViolation = plant_wake_violation;
 
-        // Cross-check the sampler against the composition linter:
-        // every sampled case must be lint-clean (no error-severity
-        // findings). A finding here is a bug in RandomSocBuilder or a
-        // lint rule drifting from what elaboration accepts.
+        // Cross-check the sampler against the composition checker:
+        // every sampled case must elaborate (zero cycles) without
+        // error-severity findings — a finding here is a bug in
+        // RandomSocBuilder or a rule drifting from what elaboration
+        // accepts — and a planted lint or wake violation must surface
+        // in the report the constructor throws. A planted case still
+        // falls through to the run below, where elaboration rejects it
+        // (BuildError -> exit 3).
         {
-            const lint::DiagnosticReport lint_rep =
-                lint::lintComposition(buildAcceleratorConfig(c),
-                                      FuzzPlatform(c.platform));
-            if (!plant_lint && lint_rep.hasErrors()) {
+            lint::DiagnosticReport rep;
+            plantMissingPushWake(c.plantWakeViolation);
+            try {
+                const FuzzPlatform platform(c.platform);
+                const AcceleratorSoc soc(buildAcceleratorConfig(c),
+                                         platform);
+            } catch (const lint::CompositionError &e) {
+                rep = e.report();
+            } catch (const ConfigError &e) {
+                plantMissingPushWake(0);
                 std::cerr << "soc_fuzz: sampled case (seed " << case_seed
-                          << ") is not lint-clean:\n"
-                          << lint_rep.format();
+                          << ") failed to elaborate: " << e.what()
+                          << "\n";
                 return 3;
             }
-            if (plant_lint && !lint_rep.hasErrors()) {
+            plantMissingPushWake(0);
+            if (!plant_lint && plant_wake_violation == 0 &&
+                rep.hasErrors()) {
+                std::cerr << "soc_fuzz: sampled case (seed " << case_seed
+                          << ") is not check-clean:\n"
+                          << rep.format();
+                return 3;
+            }
+            if (plant_lint && !rep.hasErrors()) {
                 std::cerr << "soc_fuzz: planted lint violation was not "
                              "caught (seed "
                           << case_seed << ")\n";
                 return 2;
             }
-        }
-
-        // Cross-check elaboration against the static analyzer: every
-        // sampled case's simulation graph must be analyze-clean, and a
-        // planted wake violation must surface as BTH100 — without
-        // running a single cycle. Skipped when the linter already
-        // rejects the case (nothing elaborable to analyze).
-        if (!plant_lint) {
-            analysis::ScopedDeferGraphValidation defer;
-            lint::DiagnosticReport graph_rep;
-            try {
-                if (c.plantWakeViolation != 0)
-                    plantMissingPushWake(c.plantWakeViolation);
-                const FuzzPlatform platform(c.platform);
-                const AcceleratorSoc soc(buildAcceleratorConfig(c),
-                                         platform);
-                plantMissingPushWake(0);
-                graph_rep = soc.analyzeGraph();
-            } catch (const ConfigError &e) {
-                plantMissingPushWake(0);
-                std::cerr << "soc_fuzz: sampled case (seed "
-                          << case_seed
-                          << ") failed to elaborate for analysis: "
-                          << e.what() << "\n";
-                return 3;
-            }
-            if (plant_wake_violation == 0 && graph_rep.hasErrors()) {
-                std::cerr << "soc_fuzz: sampled case (seed " << case_seed
-                          << ") is not analyze-clean:\n"
-                          << graph_rep.format();
-                return 3;
-            }
-            if (plant_wake_violation != 0 &&
-                !graph_rep.has("BTH100")) {
+            if (plant_wake_violation != 0 && !rep.has("BTH100")) {
                 std::cerr << "soc_fuzz: planted wake violation was not "
                              "caught statically (seed "
                           << case_seed << ")\n";
                 return 2;
             }
-            // With the plant armed the case still falls through to the
-            // run below, where the constructor-tail validation rejects
-            // it (BuildError -> exit 3) — the same double-catch
-            // contract as --plant-lint-violation.
         }
 
         const FuzzResult r = runFuzzCase(c, opt);
