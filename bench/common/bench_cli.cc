@@ -233,13 +233,7 @@ BenchCli::combinedStatsJson() const
         if (!first)
             oss << ",\n";
         first = false;
-        oss << "\"";
-        for (char c : label) {
-            if (c == '"' || c == '\\')
-                oss << '\\';
-            oss << c;
-        }
-        oss << "\":" << json;
+        oss << "\"" << jsonEscape(label) << "\":" << json;
     }
     oss << "}\n";
     return oss.str();

@@ -16,8 +16,7 @@
  *   --perf-json=FILE    run-level host KPIs (schema beethoven-perf-1):
  *                       wall_ms, sim_cycles, cycles_per_sec,
  *                       peak_rss_kb, allocation churn, cycles/sec
- *                       heartbeat — the per-bench record tools/soc_perf
- *                       aggregates into BENCH_<label>.json
+ *                       heartbeat for this one run
  *   --host-profile[=M]  attribute wall-clock per awake module in the
  *                       step loop of the selected kernel; M is
  *                       "scoped" (every cycle) or "sample:N" (every

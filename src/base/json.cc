@@ -1,6 +1,7 @@
 #include "base/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 #include "base/log.h"
@@ -168,6 +169,10 @@ class Parser
             char c = _text[_pos++];
             if (c == '"')
                 return out;
+            if (static_cast<unsigned char>(c) < 0x20) {
+                --_pos;
+                fail("unescaped control character in string");
+            }
             if (c != '\\') {
                 out += c;
                 continue;
@@ -254,6 +259,31 @@ JsonValue
 parseJson(const std::string &text)
 {
     return Parser(text).parse();
+}
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 } // namespace beethoven

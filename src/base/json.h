@@ -1,9 +1,10 @@
 /**
  * @file
  * A minimal JSON parser for validating the substrate's own output
- * (trace files, stats exports) in tests and tooling. Not a general
- * serialization layer: numbers are doubles, objects preserve insertion
- * order in a vector of pairs.
+ * (trace files, stats exports) in tests and tooling, and the one string
+ * escaper every JSON writer uses. Not a general serialization layer:
+ * numbers are doubles, objects preserve insertion order in a vector of
+ * pairs.
  */
 
 #ifndef BEETHOVEN_BASE_JSON_H
@@ -40,9 +41,18 @@ struct JsonValue
 
 /**
  * Parse @p text as a single JSON value (trailing whitespace allowed).
- * @throws ConfigError on malformed input.
+ * @throws ConfigError on malformed input, including a raw control
+ *         character (below 0x20) inside a string (RFC 8259 §7).
  */
 JsonValue parseJson(const std::string &text);
+
+/**
+ * Escape @p s for embedding in a JSON string literal (no surrounding
+ * quotes): `"` and `\` are backslash-escaped, newline, tab and
+ * carriage return get their short forms, and every other byte below
+ * 0x20 becomes `\u00XX`. Bytes from 0x20 up pass through unchanged.
+ */
+std::string jsonEscape(const std::string &s);
 
 } // namespace beethoven
 

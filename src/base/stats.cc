@@ -1,7 +1,10 @@
 #include "base/stats.h"
 
+#include <charconv>
 #include <cmath>
 #include <memory>
+
+#include "base/json.h"
 
 namespace beethoven
 {
@@ -148,13 +151,26 @@ namespace
 void
 jsonQuote(std::ostream &os, const std::string &s)
 {
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
+    os << '"' << jsonEscape(s) << '"';
+}
+
+/**
+ * Streams as the shortest decimal form that parses back to exactly
+ * the value, whatever the stream's precision: counters above 10^6
+ * must not round, or digests built from dumpJson go blind to small
+ * differences.
+ */
+struct ExactNumber
+{
+    double value;
+};
+
+std::ostream &
+operator<<(std::ostream &os, ExactNumber n)
+{
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), n.value);
+    return os.write(buf, res.ptr - buf);
 }
 
 } // namespace
@@ -178,7 +194,7 @@ StatGroup::dumpJson(std::ostream &os) const
                 os << ",";
             f = false;
             jsonQuote(os, name);
-            os << ":" << s.value();
+            os << ":" << ExactNumber{s.value()};
         }
         os << "}";
     }
@@ -191,13 +207,13 @@ StatGroup::dumpJson(std::ostream &os) const
             f = false;
             jsonQuote(os, name);
             os << ":{\"samples\":" << h.samples()
-               << ",\"mean\":" << h.mean()
-               << ",\"min\":" << h.min()
-               << ",\"max\":" << h.max()
-               << ",\"p50\":" << h.percentile(50.0)
-               << ",\"p95\":" << h.percentile(95.0)
-               << ",\"p99\":" << h.percentile(99.0)
-               << ",\"bucketWidth\":" << h.bucketWidth()
+               << ",\"mean\":" << ExactNumber{h.mean()}
+               << ",\"min\":" << ExactNumber{h.min()}
+               << ",\"max\":" << ExactNumber{h.max()}
+               << ",\"p50\":" << ExactNumber{h.percentile(50.0)}
+               << ",\"p95\":" << ExactNumber{h.percentile(95.0)}
+               << ",\"p99\":" << ExactNumber{h.percentile(99.0)}
+               << ",\"bucketWidth\":" << ExactNumber{h.bucketWidth()}
                << ",\"buckets\":[";
             bool bf = true;
             for (u64 b : h.buckets()) {

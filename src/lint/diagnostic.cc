@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "base/json.h"
 #include "base/log.h"
 
 namespace beethoven::lint
@@ -191,36 +192,6 @@ DiagnosticReport::format() const
     }
     return os.str();
 }
-
-namespace
-{
-
-/** Minimal JSON string escaping (quotes, backslashes, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 DiagnosticReport::toJson() const

@@ -4,7 +4,6 @@
 
 #include "base/json.h"
 #include "base/log.h"
-#include "perf/bench_json.h" // jsonEscape
 
 namespace beethoven
 {

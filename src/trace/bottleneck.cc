@@ -148,13 +148,7 @@ writeBottleneckJson(std::ostream &os,
                     const std::vector<RunStallReport> &runs)
 {
     auto quote = [&os](const std::string &s) {
-        os << '"';
-        for (char c : s) {
-            if (c == '"' || c == '\\')
-                os << '\\';
-            os << c;
-        }
-        os << '"';
+        os << '"' << jsonEscape(s) << '"';
     };
     os << "{\"runs\":[";
     bool first_run = true;

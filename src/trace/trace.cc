@@ -1,44 +1,13 @@
 #include "trace/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <iomanip>
 
+#include "base/json.h"
 #include "base/log.h"
 
 namespace beethoven
 {
-
-namespace
-{
-
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 TraceSink::TraceSink()
 {

@@ -206,6 +206,70 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(parseJson("\"unterminated"), ConfigError);
 }
 
+TEST(Json, RejectsRawControlCharacterInString)
+{
+    // RFC 8259 §7: bytes below 0x20 must be escaped inside a string.
+    EXPECT_THROW(parseJson("\"a\nb\""), ConfigError);
+    EXPECT_THROW(parseJson("{\"k\x01\": 1}"), ConfigError);
+    EXPECT_THROW(parseJson("[\"tab\there\"]"), ConfigError);
+    // Whitespace between tokens and escaped forms stay legal.
+    EXPECT_EQ(parseJson("\n[\"a\\nb\"]\t").array[0].string, "a\nb");
+}
+
+TEST(Json, EscapesControlAndQuoteCharacters)
+{
+    EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    EXPECT_EQ(jsonEscape("\t\r\x01\x1f"), "\\t\\r\\u0001\\u001f");
+    EXPECT_EQ(jsonEscape("plain /\x7f"), "plain /\x7f");
+    const std::string raw = "q\"\\\b\f\x02";
+    EXPECT_EQ(parseJson("\"" + jsonEscape(raw) + "\"").string, raw);
+}
+
+TEST(StatGroup, DumpJsonEscapesControlCharactersInNames)
+{
+    const std::string name = "a\nb\x01";
+    StatGroup root("soc");
+    root.group(name).scalar("x") += 1;
+    std::ostringstream os;
+    root.dumpJson(os);
+    const std::string doc = os.str();
+    for (char c : doc)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << doc;
+    const JsonValue v = parseJson(doc);
+    const JsonValue *groups = v.find("groups");
+    ASSERT_NE(groups, nullptr);
+    ASSERT_EQ(groups->object.size(), 1u);
+    EXPECT_EQ(groups->object[0].first, name);
+}
+
+TEST(StatGroup, DumpJsonNumbersRoundTripExactly)
+{
+    // Six significant digits would print 2178375 as 2.17838e+06; the
+    // dump must not depend on the stream's precision either.
+    const double big = 9007199254740991.0; // 2^53 - 1
+    StatGroup root("soc");
+    root.scalar("cycles") += 2178375;
+    root.scalar("big").set(big);
+    root.scalar("tenth").set(0.1);
+    StatHistogram &h = root.histogram("lat");
+    h.sample(big);
+    std::ostringstream os;
+    os.precision(3);
+    root.dumpJson(os);
+    EXPECT_EQ(os.str().find("e+06"), std::string::npos) << os.str();
+
+    const JsonValue v = parseJson(os.str());
+    const JsonValue *scalars = v.find("scalars");
+    ASSERT_NE(scalars, nullptr);
+    EXPECT_EQ(scalars->find("cycles")->number, 2178375.0);
+    EXPECT_EQ(scalars->find("big")->number, big);
+    EXPECT_EQ(scalars->find("tenth")->number, 0.1);
+    const JsonValue *lat = v.find("histograms")->find("lat");
+    ASSERT_NE(lat, nullptr);
+    EXPECT_EQ(lat->find("max")->number, big);
+    EXPECT_EQ(lat->find("mean")->number, big);
+}
+
 TEST(Stats, GroupHierarchyAndLookup)
 {
     StatGroup root("soc");

@@ -25,6 +25,7 @@
 #include "platform/sim_platform.h"
 #include "power/power.h"
 #include "runtime/fpga_handle.h"
+#include "sim/simulator.h"
 #include "verify/fuzz.h"
 #include "verify/random_soc.h"
 #include "verify/traffic.h"
@@ -222,6 +223,20 @@ TEST(CrossKernel, MemcpyBitIdentical)
     const RunDigest tick = memcpyDigest(SimKernel::Tick);
     expectKernelsAgree(tick, memcpyDigest(SimKernel::Event),
                        "memcpy event");
+}
+
+TEST(CrossKernel, EventKernelSkipsModuleTicks)
+{
+    // The event kernel's whole point: same digest, fewer module ticks.
+    // Counting ticks makes this a deterministic gate where a wall-clock
+    // throughput comparison would be noise-bound.
+    const u64 before = globalModuleTicks();
+    memcpyDigest(SimKernel::Tick);
+    const u64 tick_ticks = globalModuleTicks() - before;
+    memcpyDigest(SimKernel::Event);
+    const u64 event_ticks = globalModuleTicks() - before - tick_ticks;
+    EXPECT_GT(event_ticks, 0u);
+    EXPECT_LT(event_ticks, tick_ticks);
 }
 
 TEST(CrossKernel, MachSuiteGemmBitIdentical)

@@ -15,8 +15,9 @@
 #                when it exists (configure with `cmake --preset
 #                sanitize` to opt in; skipped otherwise): the kernel,
 #                host-profiler, runtime-server and checker suites (the
-#                checker runs in every AcceleratorSoc constructor) plus
-#                a tick-vs-event soc_fuzz differential
+#                checker runs in every AcceleratorSoc constructor), the
+#                JSON escaper/parser and stats-number suites, plus a
+#                tick-vs-event soc_fuzz differential
 #
 # Usage: tools/run_checks.sh [BUILD_DIR]
 #   BUILD_DIR  build tree holding the tools (default: build)
@@ -67,7 +68,7 @@ echo "== run_checks: 4/4 sanitize (ASan+UBSan smoke) =="
 san_dir="$repo_root/build-sanitize"
 if [ -f "$san_dir/CTestTestfile.cmake" ]; then
     (cd "$san_dir" &&
-        ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel|HostProfiler|RuntimeServer|Lint|GraphRules|SocAnalysis' \
+        ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel|HostProfiler|RuntimeServer|Lint|GraphRules|SocAnalysis|Json|StatGroup' \
         --output-on-failure -j "$(nproc)") || fail sanitize
     "$san_dir/tools/soc_fuzz" --differential --seed=1 --iterations=3 ||
         fail sanitize
