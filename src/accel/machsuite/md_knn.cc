@@ -9,7 +9,7 @@ namespace
 {
 
 void
-unpackPosition(const std::vector<u8> &row, double &x, double &y,
+unpackPosition(const Payload &row, double &x, double &y,
                double &z)
 {
     std::memcpy(&x, row.data(), 8);

@@ -14,8 +14,7 @@
 #ifndef BEETHOVEN_AXI_AXI_TYPES_H
 #define BEETHOVEN_AXI_AXI_TYPES_H
 
-#include <vector>
-
+#include "base/payload.h"
 #include "base/types.h"
 
 namespace beethoven
@@ -45,8 +44,8 @@ struct ReadRequest
 struct ReadBeat
 {
     u32 id = 0;
-    std::vector<u8> data; ///< dataBytes bytes
-    bool last = false;    ///< final beat of the burst
+    Payload data;      ///< dataBytes bytes
+    bool last = false; ///< final beat of the burst
     u64 tag = 0;
 };
 
@@ -62,8 +61,8 @@ struct WriteRequest
 /** W-channel flit: one beat of write data. */
 struct WriteBeat
 {
-    std::vector<u8> data;   ///< dataBytes bytes
-    std::vector<bool> strb; ///< per-byte write enable (empty = all on)
+    Payload data;            ///< dataBytes bytes
+    u64 strb = allBytesMask; ///< bit i enables data[i]
     bool last = false;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <type_traits>
 
 #include "base/log.h"
 #include "trace/trace.h"
@@ -86,18 +87,22 @@ DramController::acceptRequests()
     const Cycle now = sim().cycle();
     bool did = false;
 
-    if (_arIn.canPop() && _reads.size() < _cfg.maxOutstandingReads) {
+    if (_arIn.canPop() && _reads.live < _cfg.maxOutstandingReads) {
         ReadRequest req = _arIn.pop();
         beethoven_assert(req.beats >= 1 &&
                              req.beats <= _cfg.axi.maxBurstBeats,
                          "illegal read burst length %u", req.beats);
-        ReadTxn txn;
+        const u32 slot = _reads.acquire();
+        ReadTxn &txn = _reads.slots[slot];
         txn.seq = _seqCounter++;
         txn.tag = req.tag;
         txn.id = req.id;
         txn.acceptedAt = now;
         txn.addr = req.addr;
         txn.beats = req.beats;
+        txn.beatsIssued = 0;
+        txn.firstUnissued = 0;
+        txn.beatsSent = 0;
         txn.issued.assign(req.beats, false);
         txn.beatReadyAt.assign(req.beats, 0);
         txn.beatData.resize(req.beats);
@@ -107,8 +112,7 @@ DramController::acceptRequests()
                 _cfg.geometry,
                 req.addr + static_cast<Addr>(b) * _cfg.axi.dataBytes);
         }
-        _readOrder[req.id].push_back(req.tag);
-        _reads.emplace(req.tag, std::move(txn));
+        idState(_readIds, req.id).order.push_back(slot);
         _timeline.record({now, AxiChannel::AR, req.id, req.tag, req.addr,
                           req.beats, false});
         did = true;
@@ -117,51 +121,52 @@ DramController::acceptRequests()
     if (_wIn.canPop()) {
         const WriteFlit &flit = _wIn.front();
         if (flit.hasHeader) {
-            if (_writes.size() >= _cfg.maxOutstandingWrites)
+            if (_writes.live >= _cfg.maxOutstandingWrites)
                 return did; // stall the W channel until a slot frees
-            WriteFlit f = _wIn.pop();
-            WriteTxn txn;
+            const u32 slot = _writes.acquire();
+            WriteTxn &txn = _writes.slots[slot];
             txn.seq = _seqCounter++;
-            txn.tag = f.header.tag;
-            txn.id = f.header.id;
+            txn.tag = flit.header.tag;
+            txn.id = flit.header.id;
             txn.acceptedAt = now;
-            txn.addr = f.header.addr;
-            txn.beats = f.header.beats;
-            txn.issued.assign(f.header.beats, false);
-            txn.beatCoord.resize(f.header.beats);
-            for (u32 b = 0; b < f.header.beats; ++b) {
+            txn.addr = flit.header.addr;
+            txn.beats = flit.header.beats;
+            txn.beatsIssued = 0;
+            txn.firstUnissued = 0;
+            txn.issued.assign(txn.beats, false);
+            txn.beatCoord.resize(txn.beats);
+            for (u32 b = 0; b < txn.beats; ++b) {
                 txn.beatCoord[b] = mapAddress(
-                    _cfg.geometry, f.header.addr +
-                                       static_cast<Addr>(b) *
-                                           _cfg.axi.dataBytes);
+                    _cfg.geometry,
+                    txn.addr + static_cast<Addr>(b) * _cfg.axi.dataBytes);
             }
             _timeline.record({now, AxiChannel::AW, txn.id, txn.tag,
                               txn.addr, txn.beats, false});
             // The header flit carries the first data beat.
             _timeline.record({now, AxiChannel::W, txn.id, txn.tag, 0, 0,
-                              f.beat.last});
-            txn.data.push_back(std::move(f.beat));
+                              flit.beat.last});
+            txn.data.clear();
+            txn.data.push_back(flit.beat);
             txn.beatsReceived = 1;
             ++_pendingWriteBeats;
-            const u64 tag = txn.tag;
-            const bool complete = txn.data.back().last;
+            const bool complete = flit.beat.last;
             beethoven_assert(!complete || txn.beats == 1,
                              "write burst ended after 1/%u beats",
                              txn.beats);
-            _writeOrder[txn.id].push_back(tag);
-            _writes.emplace(tag, std::move(txn));
-            _fillingWrite = tag;
+            idState(_writeIds, txn.id).order.push_back(slot);
+            _fillingWrite = slot;
             _hasFilling = !complete;
+            _wIn.pop();
             did = true;
         } else {
             beethoven_assert(_hasFilling,
                              "W data beat with no open write burst");
-            WriteFlit f = _wIn.pop();
-            WriteTxn &txn = _writes.at(_fillingWrite);
+            WriteTxn &txn = _writes.slots[_fillingWrite];
             _timeline.record({now, AxiChannel::W, txn.id, txn.tag, 0, 0,
-                              f.beat.last});
-            const bool last = f.beat.last;
-            txn.data.push_back(std::move(f.beat));
+                              flit.beat.last});
+            const bool last = flit.beat.last;
+            txn.data.push_back(flit.beat);
+            _wIn.pop();
             ++txn.beatsReceived;
             ++_pendingWriteBeats;
             did = true;
@@ -189,25 +194,19 @@ DramController::updateDrainMode()
     bool reads_exist = false;
     bool writes_exist = false;
     if (_cfg.schedulerWindow != 0) {
-        for (const auto &[id, q] : _readOrder) {
-            if (q.empty())
+        for (const IdState &ids : _readIds) {
+            if (ids.order.empty() || now < ids.readyAt)
                 continue;
-            auto gate = _readIdReadyAt.find(id);
-            if (gate != _readIdReadyAt.end() && now < gate->second)
-                continue;
-            const ReadTxn &txn = _reads.at(q.front());
+            const ReadTxn &txn = _reads.slots[ids.order.front()];
             if (txn.firstUnissued < txn.beats) {
                 reads_exist = true;
                 break;
             }
         }
-        for (const auto &[id, q] : _writeOrder) {
-            if (q.empty())
+        for (const IdState &ids : _writeIds) {
+            if (ids.order.empty() || now < ids.readyAt)
                 continue;
-            auto gate = _writeIdReadyAt.find(id);
-            if (gate != _writeIdReadyAt.end() && now < gate->second)
-                continue;
-            const WriteTxn &txn = _writes.at(q.front());
+            const WriteTxn &txn = _writes.slots[ids.order.front()];
             if (txn.firstUnissued < txn.beatsReceived) {
                 writes_exist = true;
                 break;
@@ -288,17 +287,15 @@ DramController::scanCandidates()
         }
     };
 
-    for (const auto &[id, q] : _readOrder) {
-        if (q.empty())
+    for (const IdState &ids : _readIds) {
+        // Skip idle IDs and IDs whose reorder slot is still recycling.
+        if (ids.order.empty() || now < ids.readyAt)
             continue;
-        auto gate = _readIdReadyAt.find(id);
-        if (gate != _readIdReadyAt.end() && now < gate->second)
-            continue; // reorder slot for this ID is still recycling
-        const ReadTxn &txn = _reads.at(q.front());
+        const ReadTxn &txn = _reads.slots[ids.order.front()];
         unsigned exposed = 0;
         Candidate c;
         c.isWrite = false;
-        c.txnKey = txn.tag;
+        c.txnSlot = ids.order.front();
         c.seq = txn.seq;
         for (u32 b = txn.firstUnissued;
              b < txn.beats && exposed < _cfg.schedulerWindow; ++b) {
@@ -312,17 +309,14 @@ DramController::scanCandidates()
             ++exposed;
         }
     }
-    for (const auto &[id, q] : _writeOrder) {
-        if (q.empty())
+    for (const IdState &ids : _writeIds) {
+        if (ids.order.empty() || now < ids.readyAt)
             continue;
-        auto gate = _writeIdReadyAt.find(id);
-        if (gate != _writeIdReadyAt.end() && now < gate->second)
-            continue;
-        const WriteTxn &txn = _writes.at(q.front());
+        const WriteTxn &txn = _writes.slots[ids.order.front()];
         unsigned exposed = 0;
         Candidate c;
         c.isWrite = true;
-        c.txnKey = txn.tag;
+        c.txnSlot = ids.order.front();
         c.seq = txn.seq;
         for (u32 b = txn.firstUnissued;
              b < txn.beatsReceived && exposed < _cfg.schedulerWindow;
@@ -379,7 +373,7 @@ DramController::scheduleColumn()
     ++_beatsServed;
 
     if (chosen.isWrite) {
-        WriteTxn &txn = _writes.at(chosen.txnKey);
+        WriteTxn &txn = _writes.slots[chosen.txnSlot];
         _lastColId = txn.id;
         const WriteBeat &beat = txn.data[chosen.beatIdx];
         _mem.writeMasked(chosen.beatAddr, beat.data, beat.strb);
@@ -392,10 +386,10 @@ DramController::scheduleColumn()
         }
         ++*_statColWrites;
     } else {
-        ReadTxn &txn = _reads.at(chosen.txnKey);
+        ReadTxn &txn = _reads.slots[chosen.txnSlot];
         _lastColId = txn.id;
         txn.beatReadyAt[chosen.beatIdx] = now + _cfg.timing.tCAS;
-        auto &data = txn.beatData[chosen.beatIdx];
+        Payload &data = txn.beatData[chosen.beatIdx];
         data.resize(_cfg.axi.dataBytes);
         _mem.read(chosen.beatAddr, data.size(), data.data());
         txn.issued[chosen.beatIdx] = true;
@@ -462,18 +456,20 @@ DramController::scheduleRowCommands()
         // Activation constraints: per-bank tRP done, global tRRD, tFAW.
         if (now < bank.actReadyAt || now < _nextActAt)
             continue;
-        while (!_recentActs.empty() &&
-               _recentActs.front() + _cfg.timing.tFAW <= now) {
-            _recentActs.pop_front();
+        while (_recentActsCount != 0 &&
+               _recentActs[_recentActsHead] + _cfg.timing.tFAW <= now) {
+            _recentActsHead = (_recentActsHead + 1) % _recentActs.size();
+            --_recentActsCount;
         }
-        if (_recentActs.size() >= 4)
+        if (_recentActsCount >= _recentActs.size())
             continue;
         bank.open = true;
         bank.row = c->coord.row;
         bank.colReadyAt = now + _cfg.timing.tRCD;
         bank.preReadyAt = now + _cfg.timing.tRAS;
         _nextActAt = now + _cfg.timing.tRRD;
-        _recentActs.push_back(now);
+        _recentActs[(_recentActsHead + _recentActsCount++) %
+                    _recentActs.size()] = now;
         return true;
     }
     return false;
@@ -483,78 +479,72 @@ DramController::ServiceResult
 DramController::sendReadData()
 {
     const Cycle now = sim().cycle();
-    if (_readOrder.empty())
+    if (_reads.live == 0)
         return ServiceResult::None;
+    auto ready = [&](const IdState &ids) {
+        if (ids.order.empty())
+            return false;
+        const ReadTxn &txn = _reads.slots[ids.order.front()];
+        return txn.beatsSent < txn.beats &&
+               txn.beatReadyAt[txn.beatsSent] != 0 &&
+               now >= txn.beatReadyAt[txn.beatsSent];
+    };
     if (!_rOut.canPush()) {
         // Anything ready to go? Then the port is the bottleneck.
-        for (const auto &[id, q] : _readOrder) {
-            if (q.empty())
-                continue;
-            const ReadTxn &txn = _reads.at(q.front());
-            if (txn.beatsSent < txn.beats &&
-                txn.beatReadyAt[txn.beatsSent] != 0 &&
-                now >= txn.beatReadyAt[txn.beatsSent]) {
+        for (const IdState &ids : _readIds) {
+            if (ready(ids))
                 return ServiceResult::Blocked;
-            }
         }
         return ServiceResult::None;
     }
     // Round-robin across IDs; within an ID only the head transaction's
     // in-order next beat may be sent (AXI burst + same-ID ordering).
-    auto start = _readOrder.lower_bound(_rrReadId);
-    if (start == _readOrder.end())
-        start = _readOrder.begin();
-    auto it = start;
-    do {
-        auto &q = it->second;
-        if (!q.empty()) {
-            ReadTxn &txn = _reads.at(q.front());
-            if (txn.beatsSent < txn.beats &&
-                txn.beatReadyAt[txn.beatsSent] != 0 &&
-                now >= txn.beatReadyAt[txn.beatsSent]) {
-                ReadBeat beat;
-                beat.id = txn.id;
-                beat.tag = txn.tag;
-                beat.last = txn.beatsSent + 1 == txn.beats;
-                beat.data = std::move(txn.beatData[txn.beatsSent]);
-                _timeline.record({now, AxiChannel::R, beat.id, beat.tag,
-                                  0, 0, beat.last});
-                ++txn.beatsSent;
-                const bool done = beat.last;
-                _rOut.push(std::move(beat));
-                _rrReadId = it->first + 1;
-                if (done) {
-                    _readLatency->sample(
-                        static_cast<double>(now - txn.acceptedAt));
-                    if (TraceSink *ts = sim().trace()) {
-                        ts->span("axi", "rd",
-                                 name() + ".rd.id" +
-                                     std::to_string(txn.id),
-                                 txn.acceptedAt, now,
-                                 {{"addr", txn.addr},
-                                  {"beats", txn.beats},
-                                  {"id", txn.id}});
-                    }
-                    q.pop_front();
-                    _reads.erase(txn.tag);
-                    // A successor already queued behind the head was
-                    // held back by the same-ID ordering dependence and
-                    // pays the reorder-slot recycle; a fresh request
-                    // arriving later starts with a clean slot.
-                    if (!q.empty()) {
-                        _readIdReadyAt[it->first] =
-                            now + _cfg.sameIdRecycleCycles;
-                    } else {
-                        _readOrder.erase(it);
-                    }
-                }
-                return ServiceResult::Done;
+    const std::size_t n = _readIds.size();
+    std::size_t start = static_cast<std::size_t>(
+        std::lower_bound(_readIds.begin(), _readIds.end(), _rrReadId,
+                         [](const IdState &ids, u32 id) {
+                             return ids.id < id;
+                         }) -
+        _readIds.begin());
+    if (start == n)
+        start = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+        IdState &ids = _readIds[(start + k) % n];
+        if (!ready(ids))
+            continue;
+        const u32 slot = ids.order.front();
+        ReadTxn &txn = _reads.slots[slot];
+        ReadBeat beat;
+        beat.id = txn.id;
+        beat.tag = txn.tag;
+        beat.last = txn.beatsSent + 1 == txn.beats;
+        beat.data = txn.beatData[txn.beatsSent];
+        _timeline.record({now, AxiChannel::R, beat.id, beat.tag, 0, 0,
+                          beat.last});
+        ++txn.beatsSent;
+        _rOut.push(beat);
+        _rrReadId = ids.id + 1;
+        if (beat.last) {
+            _readLatency->sample(static_cast<double>(now - txn.acceptedAt));
+            if (TraceSink *ts = sim().trace()) {
+                ts->span("axi", "rd",
+                         name() + ".rd.id" + std::to_string(txn.id),
+                         txn.acceptedAt, now,
+                         {{"addr", txn.addr},
+                          {"beats", txn.beats},
+                          {"id", txn.id}});
             }
+            ids.order.erase(ids.order.begin());
+            _reads.release(slot);
+            // A successor already queued behind the head was held back
+            // by the same-ID ordering dependence and pays the
+            // reorder-slot recycle; a fresh request arriving later
+            // starts with a clean slot.
+            if (!ids.order.empty())
+                ids.readyAt = now + _cfg.sameIdRecycleCycles;
         }
-        ++it;
-        if (it == _readOrder.end())
-            it = _readOrder.begin();
-    } while (it != start);
+        return ServiceResult::Done;
+    }
     return ServiceResult::None;
 }
 
@@ -562,72 +552,76 @@ DramController::ServiceResult
 DramController::sendWriteResponses()
 {
     const Cycle now = sim().cycle();
+    auto complete = [&](const IdState &ids) {
+        if (ids.order.empty())
+            return false;
+        const WriteTxn &txn = _writes.slots[ids.order.front()];
+        return txn.beatsReceived == txn.beats &&
+               txn.beatsIssued == txn.beats;
+    };
     if (!_bOut.canPush()) {
-        for (const auto &[id, q] : _writeOrder) {
-            if (q.empty())
-                continue;
-            const WriteTxn &txn = _writes.at(q.front());
-            if (txn.beatsReceived == txn.beats &&
-                txn.beatsIssued == txn.beats) {
+        for (const IdState &ids : _writeIds) {
+            if (complete(ids))
                 return ServiceResult::Blocked;
-            }
         }
         return ServiceResult::None;
     }
-    for (auto it = _writeOrder.begin(); it != _writeOrder.end(); ++it) {
-        auto &q = it->second;
-        if (q.empty())
+    for (IdState &ids : _writeIds) {
+        if (!complete(ids))
             continue;
-        WriteTxn &txn = _writes.at(q.front());
-        if (txn.beatsReceived == txn.beats &&
-            txn.beatsIssued == txn.beats) {
-            WriteResponse resp;
-            resp.id = txn.id;
-            resp.tag = txn.tag;
-            _timeline.record({now, AxiChannel::B, resp.id, resp.tag, 0, 0,
-                              false});
-            _bOut.push(resp);
-            _writeLatency->sample(
-                static_cast<double>(now - txn.acceptedAt));
-            if (TraceSink *ts = sim().trace()) {
-                ts->span("axi", "wr",
-                         name() + ".wr.id" + std::to_string(txn.id),
-                         txn.acceptedAt, now,
-                         {{"addr", txn.addr},
-                          {"beats", txn.beats},
-                          {"id", txn.id}});
-            }
-            q.pop_front();
-            _writes.erase(txn.tag);
-            if (!q.empty())
-                _writeIdReadyAt[it->first] =
-                    now + _cfg.sameIdRecycleCycles;
-            else
-                _writeOrder.erase(it);
-            return ServiceResult::Done;
+        const u32 slot = ids.order.front();
+        const WriteTxn &txn = _writes.slots[slot];
+        WriteResponse resp;
+        resp.id = txn.id;
+        resp.tag = txn.tag;
+        _timeline.record({now, AxiChannel::B, resp.id, resp.tag, 0, 0,
+                          false});
+        _bOut.push(resp);
+        _writeLatency->sample(static_cast<double>(now - txn.acceptedAt));
+        if (TraceSink *ts = sim().trace()) {
+            ts->span("axi", "wr",
+                     name() + ".wr.id" + std::to_string(txn.id),
+                     txn.acceptedAt, now,
+                     {{"addr", txn.addr},
+                      {"beats", txn.beats},
+                      {"id", txn.id}});
         }
+        ids.order.erase(ids.order.begin());
+        _writes.release(slot);
+        if (!ids.order.empty())
+            ids.readyAt = now + _cfg.sameIdRecycleCycles;
+        return ServiceResult::Done;
     }
     return ServiceResult::None;
 }
 
-StatScalar &
-DramController::idWaitScalar(bool is_write, u32 id, const char *kind)
+DramController::IdState &
+DramController::idState(std::vector<IdState> &ids, u32 id)
 {
-    auto key = std::make_pair(is_write, id);
-    auto it = _idWaits.find(key);
-    if (it == _idWaits.end()) {
+    auto it = std::lower_bound(
+        ids.begin(), ids.end(), id,
+        [](const IdState &s, u32 key) { return s.id < key; });
+    if (it == ids.end() || it->id != id) {
+        it = ids.insert(it, IdState{});
+        it->id = id;
+    }
+    return *it;
+}
+
+void
+DramController::countIdWait(bool is_write, IdState &ids, bool queue_wait)
+{
+    if (ids.queueWait == nullptr) {
         StatGroup &g = sim()
                            .stats()
                            .group(name())
                            .group("ids")
                            .group((is_write ? "wr" : "rd") +
-                                  std::to_string(id));
-        it = _idWaits
-                 .emplace(key, std::make_pair(&g.scalar("queueWait"),
-                                              &g.scalar("bankWait")))
-                 .first;
+                                  std::to_string(ids.id));
+        ids.queueWait = &g.scalar("queueWait");
+        ids.bankWait = &g.scalar("bankWait");
     }
-    return *(kind[0] == 'q' ? it->second.first : it->second.second);
+    ++*(queue_wait ? ids.queueWait : ids.bankWait);
 }
 
 void
@@ -638,33 +632,31 @@ DramController::trackIdWaits(bool col_issued)
     // reorder-slot recycle (queueWait) vs. bank timing / arbitration
     // (bankWait). This is the per-ID split behind the fig5 latency gap.
     const Cycle now = sim().cycle();
-    for (const auto &[id, q] : _readOrder) {
-        if (q.empty())
+    for (IdState &ids : _readIds) {
+        if (ids.order.empty())
             continue;
-        if (col_issued && !_lastColWasWrite && _lastColId == id)
+        if (col_issued && !_lastColWasWrite && _lastColId == ids.id)
             continue;
-        auto gate = _readIdReadyAt.find(id);
-        if (gate != _readIdReadyAt.end() && now < gate->second) {
-            ++idWaitScalar(false, id, "queueWait");
+        if (now < ids.readyAt) {
+            countIdWait(false, ids, true);
             continue;
         }
-        const ReadTxn &txn = _reads.at(q.front());
+        const ReadTxn &txn = _reads.slots[ids.order.front()];
         if (txn.firstUnissued < txn.beats)
-            ++idWaitScalar(false, id, "bankWait");
+            countIdWait(false, ids, false);
     }
-    for (const auto &[id, q] : _writeOrder) {
-        if (q.empty())
+    for (IdState &ids : _writeIds) {
+        if (ids.order.empty())
             continue;
-        if (col_issued && _lastColWasWrite && _lastColId == id)
+        if (col_issued && _lastColWasWrite && _lastColId == ids.id)
             continue;
-        auto gate = _writeIdReadyAt.find(id);
-        if (gate != _writeIdReadyAt.end() && now < gate->second) {
-            ++idWaitScalar(true, id, "queueWait");
+        if (now < ids.readyAt) {
+            countIdWait(true, ids, true);
             continue;
         }
-        const WriteTxn &txn = _writes.at(q.front());
+        const WriteTxn &txn = _writes.slots[ids.order.front()];
         if (txn.firstUnissued < txn.beatsReceived)
-            ++idWaitScalar(true, id, "bankWait");
+            countIdWait(true, ids, false);
     }
 }
 
@@ -680,7 +672,7 @@ DramController::accountCycle(bool did, ServiceResult rd, ServiceResult wr,
         _stall.account(StallClass::StallDownstream);
         return;
     }
-    if (_reads.empty() && _writes.empty() && !_arIn.canPop() &&
+    if (_reads.live == 0 && _writes.live == 0 && !_arIn.canPop() &&
         !_wIn.canPop()) {
         _stall.account(StallClass::Idle);
         // Fully drained: no transaction state, no per-ID wait tracking,
@@ -697,7 +689,7 @@ DramController::accountCycle(bool did, ServiceResult rd, ServiceResult wr,
         _stall.account(StallClass::StallMem);
         return;
     }
-    if (_reads.empty() && !_writes.empty() && _hasFilling) {
+    if (_reads.live == 0 && _writes.live != 0 && _hasFilling) {
         // Only writes in flight and a burst is mid-fill: waiting on the
         // producer to deliver W beats.
         _stall.account(StallClass::StallUpstream);
@@ -711,31 +703,31 @@ void
 DramController::dumpInFlight(std::ostream &os) const
 {
     const Cycle now = sim().cycle();
-    os << name() << " in-flight: " << _reads.size() << " reads, "
-       << _writes.size() << " writes\n";
-    // Tag order for stable diagnostics (the maps are unordered).
-    std::vector<u64> tags;
-    for (const auto &[tag, txn] : _reads)
-        tags.push_back(tag);
-    std::sort(tags.begin(), tags.end());
-    for (u64 tag : tags) {
-        const ReadTxn &txn = _reads.at(tag);
-        os << "  rd tag=" << tag << " id=" << txn.id << " addr=0x"
-           << std::hex << txn.addr << std::dec << " beats=" << txn.beats
-           << " issued=" << txn.beatsIssued << " sent=" << txn.beatsSent
-           << " age=" << (now - txn.acceptedAt) << "\n";
+    os << name() << " in-flight: " << _reads.live << " reads, "
+       << _writes.live << " writes\n";
+    // Tag order for stable diagnostics (slots are reused in any order).
+    auto by_tag = [](const auto &pool, const std::vector<IdState> &ids) {
+        std::vector<const std::decay_t<decltype(pool.slots[0])> *> txns;
+        for (const IdState &s : ids) {
+            for (u32 slot : s.order)
+                txns.push_back(&pool.slots[slot]);
+        }
+        std::sort(txns.begin(), txns.end(),
+                  [](const auto *a, const auto *b) { return a->tag < b->tag; });
+        return txns;
+    };
+    for (const ReadTxn *txn : by_tag(_reads, _readIds)) {
+        os << "  rd tag=" << txn->tag << " id=" << txn->id << " addr=0x"
+           << std::hex << txn->addr << std::dec << " beats=" << txn->beats
+           << " issued=" << txn->beatsIssued << " sent=" << txn->beatsSent
+           << " age=" << (now - txn->acceptedAt) << "\n";
     }
-    tags.clear();
-    for (const auto &[tag, txn] : _writes)
-        tags.push_back(tag);
-    std::sort(tags.begin(), tags.end());
-    for (u64 tag : tags) {
-        const WriteTxn &txn = _writes.at(tag);
-        os << "  wr tag=" << tag << " id=" << txn.id << " addr=0x"
-           << std::hex << txn.addr << std::dec << " beats=" << txn.beats
-           << " received=" << txn.beatsReceived
-           << " issued=" << txn.beatsIssued
-           << " age=" << (now - txn.acceptedAt) << "\n";
+    for (const WriteTxn *txn : by_tag(_writes, _writeIds)) {
+        os << "  wr tag=" << txn->tag << " id=" << txn->id << " addr=0x"
+           << std::hex << txn->addr << std::dec << " beats=" << txn->beats
+           << " received=" << txn->beatsReceived
+           << " issued=" << txn->beatsIssued
+           << " age=" << (now - txn->acceptedAt) << "\n";
     }
 }
 

@@ -19,11 +19,8 @@
 #ifndef BEETHOVEN_DRAM_CONTROLLER_H
 #define BEETHOVEN_DRAM_CONTROLLER_H
 
-#include <deque>
+#include <array>
 #include <iosfwd>
-#include <map>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "axi/axi_types.h"
@@ -113,10 +110,10 @@ class DramController : public Module
         u32 beatsIssued = 0; ///< count of issued column commands
         u32 firstUnissued = 0;
         u32 beatsSent = 0;
-        std::vector<bool> issued;              ///< per-beat issue flag
-        std::vector<Cycle> beatReadyAt;        ///< 0 = not yet issued
-        std::vector<std::vector<u8>> beatData; ///< captured at issue
-        std::vector<DramCoord> beatCoord;      ///< mapped once at accept
+        std::vector<bool> issued;         ///< per-beat issue flag
+        std::vector<Cycle> beatReadyAt;   ///< 0 = not yet issued
+        std::vector<Payload> beatData;    ///< captured at issue
+        std::vector<DramCoord> beatCoord; ///< mapped once at accept
     };
 
     struct WriteTxn
@@ -135,6 +132,59 @@ class DramController : public Module
         std::vector<DramCoord> beatCoord; ///< mapped once at accept
     };
 
+    /**
+     * Transaction store. Slots are created up to the peak in-flight
+     * count and then reused (their per-beat vectors keep their
+     * capacity), so steady-state traffic never allocates. Slot indices
+     * are internal handles: every ordering decision uses seq and ID.
+     */
+    template <typename Txn>
+    struct TxnPool
+    {
+        std::vector<Txn> slots;
+        std::vector<u32> freeSlots;
+        std::size_t live = 0;
+
+        u32
+        acquire()
+        {
+            ++live;
+            if (freeSlots.empty()) {
+                slots.emplace_back();
+                freeSlots.reserve(slots.size()); // release() never grows
+                return static_cast<u32>(slots.size() - 1);
+            }
+            const u32 slot = freeSlots.back();
+            freeSlots.pop_back();
+            return slot;
+        }
+
+        void
+        release(u32 slot)
+        {
+            --live;
+            freeSlots.push_back(slot);
+        }
+    };
+
+    /**
+     * Per-AXI-ID state of one direction, kept sorted by ID. An entry is
+     * created the first time its ID is seen and then kept (an empty
+     * order means nothing in flight on that ID).
+     */
+    struct IdState
+    {
+        u32 id = 0;
+        std::vector<u32> order; ///< txn slots, oldest first (same-ID order)
+        Cycle readyAt = 0;      ///< same-ID reorder-slot recycle gate
+        /** Stall split of the ID's head transaction, created together
+         *  on its first wait: cycles spent on the same-ID reorder slot
+         *  (queueWait) vs. on bank timing / bus arbitration
+         *  (bankWait). */
+        StatScalar *queueWait = nullptr;
+        StatScalar *bankWait = nullptr;
+    };
+
     struct BankState
     {
         bool open = false;
@@ -148,7 +198,7 @@ class DramController : public Module
     struct Candidate
     {
         bool isWrite = false;
-        u64 txnKey = 0; ///< tag-keyed map lookup
+        u32 txnSlot = 0; ///< TxnPool slot of the transaction
         u64 seq = 0;
         u32 beatIdx = 0;
         Addr beatAddr = 0;
@@ -181,7 +231,10 @@ class DramController : public Module
     void accountCycle(bool did, ServiceResult rd, ServiceResult wr,
                       bool in_refresh);
     void trackIdWaits(bool col_issued);
-    StatScalar &idWaitScalar(bool is_write, u32 id, const char *kind);
+    /** Count one wait cycle of @p ids on its queue or bank scalar. */
+    void countIdWait(bool is_write, IdState &ids, bool queue_wait);
+    /** The entry for @p id, created on first use. */
+    static IdState &idState(std::vector<IdState> &ids, u32 id);
 
     Config _cfg;
     FunctionalMemory &_mem;
@@ -191,17 +244,13 @@ class DramController : public Module
     TimedQueue<ReadBeat> _rOut;
     TimedQueue<WriteResponse> _bOut;
 
-    /** In-flight transactions keyed by tag. Hash maps: the hot path
-     *  only ever looks tags up (several times per in-flight cycle);
-     *  ordered iteration is never needed — per-ID order lives in
-     *  _readOrder/_writeOrder, and dumpInFlight sorts for display. */
-    std::unordered_map<u64, ReadTxn> _reads;
-    std::unordered_map<u64, WriteTxn> _writes;
-    std::map<u32, std::deque<u64>> _readOrder;  ///< per-ID tag FIFOs
-    std::map<u32, std::deque<u64>> _writeOrder;
-    std::map<u32, Cycle> _readIdReadyAt;  ///< same-ID recycle gates
-    std::map<u32, Cycle> _writeIdReadyAt;
-    u64 _fillingWrite = 0;  ///< tag of write currently receiving W beats
+    /** In-flight transactions; per-ID order lives in _readIds and
+     *  _writeIds, and dumpInFlight sorts by tag for display. */
+    TxnPool<ReadTxn> _reads;
+    TxnPool<WriteTxn> _writes;
+    std::vector<IdState> _readIds; ///< sorted by ID
+    std::vector<IdState> _writeIds;
+    u32 _fillingWrite = 0;  ///< slot of write currently receiving W beats
     bool _hasFilling = false;
     /** Buffered-but-unissued write beats across all transactions,
      *  maintained incrementally (== sum of beatsReceived-beatsIssued)
@@ -222,7 +271,11 @@ class DramController : public Module
     Candidate _bestWrite; ///< oldest ready row-hit write, if any
     bool _hasBestRead = false;
     bool _hasBestWrite = false;
-    std::deque<Cycle> _recentActs; ///< for tFAW
+    /** Activates inside the tFAW window, oldest first (a ring: tFAW
+     *  allows at most four). */
+    std::array<Cycle, 4> _recentActs{};
+    unsigned _recentActsHead = 0;
+    unsigned _recentActsCount = 0;
     Cycle _nextActAt = 0;          ///< for tRRD
     Cycle _lastColAt = 0;
     bool _lastColWasWrite = false;
@@ -248,11 +301,6 @@ class DramController : public Module
     StatHistogram *_writeLatency; ///< AW accept -> B response
 
     StallAccount _stall;
-    /** Per-AXI-ID stall split, keyed by (isWrite, id): cycles the ID's
-     *  head transaction waited on the same-ID reorder slot (queueWait)
-     *  vs. on bank timing / bus arbitration (bankWait). */
-    std::map<std::pair<bool, u32>, std::pair<StatScalar *, StatScalar *>>
-        _idWaits;
 };
 
 } // namespace beethoven

@@ -57,19 +57,26 @@ FunctionalMemory::write(Addr addr, std::size_t len, const u8 *src)
 }
 
 void
-FunctionalMemory::writeMasked(Addr addr, const std::vector<u8> &data,
-                              const std::vector<bool> &strb)
+FunctionalMemory::writeMasked(Addr addr, const Payload &data, u64 strb)
 {
-    if (strb.empty()) {
-        write(addr, data.size(), data.data());
+    const std::size_t n = data.size();
+    const u64 full = n >= 64 ? allBytesMask : (u64(1) << n) - 1;
+    if ((strb & full) == full) {
+        write(addr, n, data.data());
         return;
     }
-    beethoven_assert(strb.size() == data.size(),
-                     "strobe width %zu != data width %zu", strb.size(),
-                     data.size());
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        if (strb[i])
-            write(addr + i, 1, &data[i]);
+    // Write each run of enabled bytes with one copy.
+    std::size_t i = 0;
+    while (i < n) {
+        if ((strb >> i & 1) == 0) {
+            ++i;
+            continue;
+        }
+        std::size_t end = i + 1;
+        while (end < n && (strb >> end & 1) != 0)
+            ++end;
+        write(addr + i, end - i, data.data() + i);
+        i = end;
     }
 }
 

@@ -11,8 +11,8 @@
 #include <array>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
+#include "base/payload.h"
 #include "base/types.h"
 
 namespace beethoven
@@ -30,9 +30,8 @@ class FunctionalMemory
     /** Write @p len bytes from @p src at @p addr. */
     void write(Addr addr, std::size_t len, const u8 *src);
 
-    /** Write with a per-byte strobe (empty strobe = all bytes). */
-    void writeMasked(Addr addr, const std::vector<u8> &data,
-                     const std::vector<bool> &strb);
+    /** Write @p data with a byte-enable mask: bit i enables data[i]. */
+    void writeMasked(Addr addr, const Payload &data, u64 strb);
 
     /** Convenience typed accessors (native endianness). */
     template <typename T>

@@ -64,6 +64,9 @@ diagnosticRegistry()
          "scratchpad demand exceeds per-SLR on-chip memory capacity"},
         {"BTH023", "memory", Severity::Error,
          "burst length exceeds the bus burst limit"},
+        {"BTH024", "memory", Severity::Error,
+         "bus beat, channel word or memory row wider than the 64-byte "
+         "inline payload"},
         // --- axi layer ---------------------------------------------
         {"BTH030", "axi", Severity::Error,
          "AXI ID demand exceeds the platform ID space"},

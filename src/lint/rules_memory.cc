@@ -1,14 +1,16 @@
 /**
  * @file
- * Memory-layer lint rules (BTH020-BTH023): width convertibility between
+ * Memory-layer lint rules (BTH020-BTH024): width convertibility between
  * core-facing channels and the platform DRAM bus, on-chip memory
- * geometry, and the 80 %-spill-rule feasibility of a core's compiled
- * memory footprint against per-SLR capacity.
+ * geometry, the 80 %-spill-rule feasibility of a core's compiled
+ * memory footprint against per-SLR capacity, and the inline payload
+ * cap on every bus beat, channel word and scratchpad row.
  */
 
 #include <algorithm>
 
 #include "base/log.h"
+#include "base/payload.h"
 #include "lint/lint.h"
 #include "mem/resource_model.h"
 
@@ -95,6 +97,46 @@ ruleBurstLimit(const CompositionModel &m, DiagnosticReport &rep)
                         std::to_string(m.bus.maxBurstBeats))
                 .fixit = "lower burstBeats or leave it zero to take "
                          "the platform default";
+        }
+    }
+}
+
+void
+ruleInlinePayload(const CompositionModel &m, DiagnosticReport &rep)
+{
+    // Bus beats, channel words and scratchpad rows move through the
+    // step loop as inline payloads (base/payload.h), so none may be
+    // wider than one. Scratchpad init streams are as wide as their
+    // rows and are reported once, as the row.
+    const unsigned cap = Payload::maxBytes;
+    auto too_wide = [&](const std::string &path, const char *what,
+                        unsigned bytes) {
+        rep.add("BTH024", path,
+                std::string(what) + " of " + std::to_string(bytes) +
+                    " bytes exceeds the " + std::to_string(cap) +
+                    "-byte inline payload")
+            .fixit = "split it into several channels or memories of at "
+                     "most " + std::to_string(cap) + " bytes";
+    };
+    if (m.bus.dataBytes > cap)
+        too_wide("platform.bus", "DRAM bus beat", m.bus.dataBytes);
+    for (const ResolvedStream &st : m.streams) {
+        if (!st.isSpadInit && st.dataBytes > cap)
+            too_wide(streamPath(m, st), "channel word", st.dataBytes);
+    }
+    const auto &systems = m.config->systems;
+    for (std::size_t s = 0; s < systems.size(); ++s) {
+        const std::string base = systemPath(m, s);
+        for (const auto &sp : systems[s].scratchpads) {
+            const unsigned row = (sp.dataWidthBits + 7) / 8;
+            if (row > cap)
+                too_wide(base + "." + sp.name, "scratchpad row", row);
+        }
+        for (const auto &pin : systems[s].intraMemoryIns) {
+            const unsigned row = (pin.dataWidthBits + 7) / 8;
+            if (row > cap)
+                too_wide(base + "." + pin.name, "intra-core memory row",
+                         row);
         }
     }
 }
@@ -231,6 +273,7 @@ memoryLintRules()
         {"memory-geometry", "memory", ruleMemoryGeometry},
         {"burst-limit", "memory", ruleBurstLimit},
         {"scratchpad-capacity", "memory", ruleScratchpadCapacity},
+        {"inline-payload", "memory", ruleInlinePayload},
     };
     return rules;
 }

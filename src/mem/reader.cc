@@ -21,9 +21,13 @@ Reader::Reader(Simulator &sim, std::string name,
       _rIn(r_in),
       _cmdQ(sim, params.cmdQueueDepth),
       _dataQ(sim, params.dataQueueDepth),
+      _txns(params.maxInflight),
       _stall(sim, Module::name())
 {
     beethoven_assert(params.dataBytes > 0, "reader port width 0");
+    beethoven_assert(params.dataBytes <= Payload::maxBytes,
+                     "reader port width %u exceeds the %zu-byte payload",
+                     params.dataBytes, Payload::maxBytes);
     beethoven_assert(params.burstBeats >= 1 &&
                          params.burstBeats <= bus.maxBurstBeats,
                      "reader burst length %u exceeds bus limit %u",
@@ -41,6 +45,13 @@ Reader::Reader(Simulator &sim, std::string name,
     _dataQ.setWakeOnPop(this);
     _arOut->setWakeOnPop(this);
     _rIn->setWakeOnPush(this);
+}
+
+Reader::Txn &
+Reader::txnAt(std::size_t i)
+{
+    const std::size_t slot = _txnHead + i;
+    return _txns[slot < _txns.size() ? slot : slot - _txns.size()];
 }
 
 bool
@@ -109,7 +120,7 @@ Reader::issueRequests()
 {
     if (!_active || _reqBytesLeft == 0 || !_arOut->canPush())
         return false;
-    if (_txns.size() >= _params.maxInflight)
+    if (_txnCount >= _params.maxInflight)
         return false;
 
     // Prefetch-buffer capacity: beats held on chip across all inflight
@@ -139,13 +150,14 @@ Reader::issueRequests()
     req.tag = nextGlobalTag();
     _arOut->push(req);
 
-    Txn txn;
+    Txn &txn = txnAt(_txnCount++);
     txn.tag = req.tag;
     txn.beats = beats;
     txn.startByte = static_cast<u32>(offset);
     txn.validBytes = txn_bytes;
+    txn.bytes.clear();
     txn.bytes.reserve(static_cast<std::size_t>(beats) * _bus.dataBytes);
-    _txns.push_back(std::move(txn));
+    txn.drained = 0;
     _reservedBeats += beats;
 
     _reqAddr += txn_bytes;
@@ -160,11 +172,13 @@ Reader::receiveBeats()
 {
     if (!_rIn->canPop())
         return false;
-    ReadBeat beat = _rIn->pop();
-    for (auto &txn : _txns) {
+    const ReadBeat &beat = _rIn->front();
+    for (std::size_t i = 0; i < _txnCount; ++i) {
+        Txn &txn = txnAt(i);
         if (txn.tag == beat.tag) {
             txn.bytes.insert(txn.bytes.end(), beat.data.begin(),
                              beat.data.end());
+            _rIn->pop();
             return true;
         }
     }
@@ -179,11 +193,12 @@ Reader::drainToCore()
     if (!_dataQ.canPush())
         return false;
     // Pull bytes from the front (oldest-address) transaction into the
-    // width-converter stage until one port word is complete.
-    while (_wordStage.size() < _params.dataBytes) {
-        if (_txns.empty())
+    // width converter until one port word is complete.
+    Payload &stage = _word.data;
+    while (stage.size() < _params.dataBytes) {
+        if (_txnCount == 0)
             return false;
-        Txn &txn = _txns.front();
+        Txn &txn = txnAt(0);
         const u64 avail_end =
             std::min<u64>(txn.bytes.size() > txn.startByte
                               ? txn.bytes.size() - txn.startByte
@@ -191,23 +206,24 @@ Reader::drainToCore()
                           txn.validBytes);
         if (txn.drained >= avail_end)
             return false; // waiting on more beats for the front txn
-        const u64 want = _params.dataBytes - _wordStage.size();
+        const u64 want = _params.dataBytes - stage.size();
         const u64 take = std::min<u64>(want, avail_end - txn.drained);
         const u8 *src = txn.bytes.data() + txn.startByte + txn.drained;
-        _wordStage.insert(_wordStage.end(), src, src + take);
+        const std::size_t at = stage.size();
+        stage.resize(at + take);
+        std::copy_n(src, take, stage.data() + at);
         txn.drained += take;
         if (txn.drained == txn.validBytes &&
             txn.bytes.size() ==
                 static_cast<std::size_t>(txn.beats) * _bus.dataBytes) {
             _reservedBeats -= txn.beats;
-            _txns.pop_front();
+            _txnHead = _txnHead + 1 < _txns.size() ? _txnHead + 1 : 0;
+            --_txnCount;
         }
     }
 
-    StreamWord word;
-    word.data = std::move(_wordStage);
-    _wordStage.clear();
-    _dataQ.push(std::move(word));
+    _dataQ.push(_word);
+    stage.resize(0);
     *_statBytesRead += _params.dataBytes;
     _drainBytesLeft -= _params.dataBytes;
     if (_drainBytesLeft == 0) {

@@ -18,7 +18,6 @@
 #ifndef BEETHOVEN_MEM_READER_H
 #define BEETHOVEN_MEM_READER_H
 
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -79,9 +78,14 @@ class Reader : public Module
         u32 beats = 0;
         u32 startByte = 0;  ///< first valid byte within the burst
         u64 validBytes = 0; ///< bytes of this burst belonging to stream
-        std::vector<u8> bytes; ///< received data, in burst order
-        u64 drained = 0;       ///< valid bytes already sent to the core
+        /** Received data, in burst order. The slot keeps its capacity
+         *  when it is reused, so receiving beats never allocates. */
+        std::vector<u8> bytes;
+        u64 drained = 0; ///< valid bytes already sent to the core
     };
+
+    /** In-flight transaction @p i places behind the oldest. */
+    Txn &txnAt(std::size_t i);
 
     // Each sub-step reports whether it did work (for stall accounting).
     bool startNextCommand();
@@ -106,9 +110,13 @@ class Reader : public Module
     Cycle _streamStart = 0; ///< cycle the active command began
     u64 _streamBytes = 0;   ///< length of the active command
 
-    std::deque<Txn> _txns;      ///< in issue (= address) order
+    /** Reorder buffer: a ring of maxInflight transaction slots, the
+     *  in-flight ones in issue (= address) order from _txnHead. */
+    std::vector<Txn> _txns;
+    std::size_t _txnHead = 0;
+    std::size_t _txnCount = 0;
     std::size_t _reservedBeats = 0;
-    std::vector<u8> _wordStage; ///< width-converter staging bytes
+    StreamWord _word; ///< width converter: the port word being built
 
     StatScalar *_statBytesRead;
     StatScalar *_statTxns;

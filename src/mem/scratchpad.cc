@@ -89,45 +89,53 @@ Scratchpad::addIntraCoreWritePort()
     return *_intraPorts.back();
 }
 
-std::vector<u8>
-Scratchpad::peek(u32 row) const
+u8 *
+Scratchpad::rowData(u32 row)
 {
-    beethoven_assert(row < _params.nDatas, "peek row %u out of range",
-                     row);
-    const std::size_t rb = _params.rowBytes();
-    const u8 *base = _storage.data() + std::size_t(row) * rb;
-    return std::vector<u8>(base, base + rb);
+    beethoven_assert(row < _params.nDatas, "row %u out of range", row);
+    return _storage.data() + std::size_t(row) * _params.rowBytes();
+}
+
+const u8 *
+Scratchpad::rowData(u32 row) const
+{
+    beethoven_assert(row < _params.nDatas, "row %u out of range", row);
+    return _storage.data() + std::size_t(row) * _params.rowBytes();
 }
 
 void
-Scratchpad::poke(u32 row, const std::vector<u8> &data)
+Scratchpad::storeRow(u32 row, const Payload &data)
 {
-    beethoven_assert(row < _params.nDatas, "poke row %u out of range",
-                     row);
-    const std::size_t rb = _params.rowBytes();
-    beethoven_assert(data.size() == rb,
-                     "poke data size %zu != row bytes %zu", data.size(),
-                     rb);
-    std::memcpy(_storage.data() + std::size_t(row) * rb, data.data(), rb);
+    beethoven_assert(data.size() == _params.rowBytes(),
+                     "row write size %zu != row bytes %u", data.size(),
+                     _params.rowBytes());
+    std::memcpy(rowData(row), data.data(), data.size());
+}
+
+std::vector<u8>
+Scratchpad::peek(u32 row) const
+{
+    const u8 *base = rowData(row);
+    return std::vector<u8>(base, base + _params.rowBytes());
 }
 
 u64
 Scratchpad::peekUint(u32 row) const
 {
-    const auto bytes = peek(row);
+    const u8 *base = rowData(row);
     u64 v = 0;
-    for (std::size_t i = 0; i < bytes.size() && i < 8; ++i)
-        v |= u64(bytes[i]) << (8 * i);
+    for (std::size_t i = 0; i < _params.rowBytes() && i < 8; ++i)
+        v |= u64(base[i]) << (8 * i);
     return v;
 }
 
 void
 Scratchpad::pokeUint(u32 row, u64 value)
 {
-    std::vector<u8> bytes(_params.rowBytes(), 0);
-    for (std::size_t i = 0; i < bytes.size() && i < 8; ++i)
-        bytes[i] = static_cast<u8>(value >> (8 * i));
-    poke(row, bytes);
+    u8 *base = rowData(row);
+    std::memset(base, 0, _params.rowBytes());
+    for (std::size_t i = 0; i < _params.rowBytes() && i < 8; ++i)
+        base[i] = static_cast<u8>(value >> (8 * i));
 }
 
 void
@@ -143,16 +151,17 @@ Scratchpad::tick()
             continue;
         const SpadRequest &req = req_q.front();
         if (req.write) {
-            SpadRequest w = req_q.pop();
-            poke(w.row, w.data);
+            storeRow(req.row, req.data);
+            req_q.pop();
             ++_accesses;
             did = true;
         } else if (resp_q.canPush()) {
-            SpadRequest r = req_q.pop();
             SpadResponse resp;
-            resp.row = r.row;
-            resp.data = peek(r.row);
-            resp_q.push(std::move(resp));
+            resp.row = req.row;
+            const u8 *row = rowData(req.row);
+            resp.data.assign(row, row + _params.rowBytes());
+            req_q.pop();
+            resp_q.push(resp);
             ++_accesses;
             did = true;
         } else {
@@ -163,10 +172,11 @@ Scratchpad::tick()
     // Intra-core write ports are write-only.
     for (auto &port : _intraPorts) {
         if (port->canPop()) {
-            SpadRequest w = port->pop();
+            const SpadRequest &w = port->front();
             beethoven_assert(w.write,
                              "read request on intra-core write port");
-            poke(w.row, w.data);
+            storeRow(w.row, w.data);
+            port->pop();
             ++_accesses;
             did = true;
         }
@@ -220,8 +230,8 @@ Scratchpad::serveInit()
     }
 
     if (_initActive && _initReader->dataPort().canPop()) {
-        StreamWord w = _initReader->dataPort().pop();
-        poke(_initRow, w.data);
+        storeRow(_initRow, _initReader->dataPort().front().data);
+        _initReader->dataPort().pop();
         ++_accesses;
         ++_initRow;
         --_initRowsLeft;

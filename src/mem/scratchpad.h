@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "base/payload.h"
 #include "mem/reader.h"
 #include "mem/stream_types.h"
 #include "sim/module.h"
@@ -47,14 +48,14 @@ struct SpadRequest
 {
     u32 row = 0;
     bool write = false;
-    std::vector<u8> data; ///< rowBytes when write
+    Payload data; ///< rowBytes when write
 };
 
 /** A read response. */
 struct SpadResponse
 {
     u32 row = 0;
-    std::vector<u8> data;
+    Payload data; ///< rowBytes
 };
 
 /** Init command: fill rows [rowOffset, rowOffset+rows) from memAddr. */
@@ -89,7 +90,6 @@ class Scratchpad : public Module
 
     /** Functional access for testing and host-side checking. */
     std::vector<u8> peek(u32 row) const;
-    void poke(u32 row, const std::vector<u8> &data);
     u64 peekUint(u32 row) const;
     void pokeUint(u32 row, u64 value);
 
@@ -106,6 +106,11 @@ class Scratchpad : public Module
 
   private:
     bool serveInit();
+    /** Start of row @p row in _storage (range-checked). */
+    u8 *rowData(u32 row);
+    const u8 *rowData(u32 row) const;
+    /** Timed row write from a port, intra-core or init payload. */
+    void storeRow(u32 row, const Payload &data);
 
     ScratchpadParams _params;
     Reader *_initReader;

@@ -25,6 +25,10 @@ Writer::Writer(Simulator &sim, std::string name,
       _stall(sim, Module::name())
 {
     beethoven_assert(params.dataBytes > 0, "writer port width 0");
+    beethoven_assert(params.dataBytes <= Payload::maxBytes,
+                     "writer port width %u exceeds the %zu-byte payload",
+                     params.dataBytes, Payload::maxBytes);
+    _outstanding.reserve(params.maxInflight);
     beethoven_assert(params.burstBeats >= 1 &&
                          params.burstBeats <= bus.maxBurstBeats,
                      "writer burst length %u exceeds bus limit %u",
@@ -142,12 +146,13 @@ Writer::acceptWords()
     if (!_active || _stagedTotal >= _cmdLen || !_dataQ.canPop())
         return false;
     // One port word per cycle (the port is dataBytes wide).
-    StreamWord w = _dataQ.pop();
-    beethoven_assert(w.data.size() == _params.dataBytes,
+    const Payload &w = _dataQ.front().data;
+    beethoven_assert(w.size() == _params.dataBytes,
                      "writer %s received %zu-byte word on %u-byte port",
-                     name().c_str(), w.data.size(), _params.dataBytes);
-    _stage.insert(_stage.end(), w.data.begin(), w.data.end());
-    _stagedTotal += w.data.size();
+                     name().c_str(), w.size(), _params.dataBytes);
+    _stage.insert(_stage.end(), w.begin(), w.end());
+    _stagedTotal += w.size();
+    _dataQ.pop();
     return true;
 }
 
@@ -176,6 +181,8 @@ Writer::emitFlits()
         _open.valid = true;
         _open.headerSent = false;
         _open.nextBeat = 0;
+        _open.offset = offset;
+        _open.txnBytes = txn_bytes;
         _open.header.id =
             _idBase + static_cast<u32>(_params.useTlp
                                            ? _txnSeq % _params.maxInflight
@@ -183,24 +190,6 @@ Writer::emitFlits()
         _open.header.addr = beat_addr;
         _open.header.beats = beats;
         _open.header.tag = nextGlobalTag();
-        _open.beats.assign(beats, WriteBeat{});
-        for (u32 b = 0; b < beats; ++b) {
-            WriteBeat &beat = _open.beats[b];
-            beat.data.assign(_bus.dataBytes, 0);
-            beat.strb.assign(_bus.dataBytes, false);
-            beat.last = b + 1 == beats;
-            const u64 beat_lo = u64(b) * _bus.dataBytes;
-            const u64 beat_hi = beat_lo + _bus.dataBytes;
-            const u64 valid_lo = std::max<u64>(beat_lo, offset);
-            const u64 valid_hi =
-                std::min<u64>(beat_hi, offset + txn_bytes);
-            for (u64 i = valid_lo; i < valid_hi; ++i) {
-                beat.data[i - beat_lo] = _stage[i - offset];
-                beat.strb[i - beat_lo] = true;
-            }
-        }
-        _stage.erase(_stage.begin(),
-                     _stage.begin() + static_cast<long>(txn_bytes));
         _outstanding.emplace_back(_open.header.tag, txn_bytes);
         _cursor += txn_bytes;
         _bytesLeft -= txn_bytes;
@@ -218,13 +207,31 @@ Writer::emitFlits()
         flit.header = _open.header;
         _open.headerSent = true;
     }
-    flit.beat = std::move(_open.beats[_open.nextBeat]);
+    // Beat b covers burst bytes [b * bus, (b + 1) * bus); the stream's
+    // bytes start at _open.offset and fill the strobe where present.
+    const u64 bus = _bus.dataBytes;
+    const u64 beat_lo = u64(_open.nextBeat) * bus;
+    const u64 valid_lo = std::max<u64>(beat_lo, _open.offset);
+    const u64 valid_hi =
+        std::min<u64>(beat_lo + bus, _open.offset + _open.txnBytes);
+    WriteBeat &beat = flit.beat;
+    beat.data.resize(bus);
+    beat.strb = 0;
+    if (valid_hi > valid_lo) {
+        const u64 n = valid_hi - valid_lo;
+        std::copy_n(_stage.data() + (valid_lo - _open.offset), n,
+                    beat.data.data() + (valid_lo - beat_lo));
+        const u64 run = n >= 64 ? allBytesMask : (u64(1) << n) - 1;
+        beat.strb = run << (valid_lo - beat_lo);
+    }
     ++_open.nextBeat;
+    beat.last = _open.nextBeat == _open.header.beats;
     *_statBytesWritten += _bus.dataBytes;
-    _wOut->push(std::move(flit));
-    if (_open.nextBeat == _open.beats.size()) {
+    _wOut->push(flit);
+    if (beat.last) {
         _open.valid = false;
-        _open.beats.clear();
+        _stage.erase(_stage.begin(),
+                     _stage.begin() + static_cast<long>(_open.txnBytes));
     }
     return true;
 }

@@ -12,8 +12,8 @@
 #ifndef BEETHOVEN_MEM_WRITER_H
 #define BEETHOVEN_MEM_WRITER_H
 
-#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "axi/axi_types.h"
@@ -88,19 +88,23 @@ class Writer : public Module
 
     std::vector<u8> _stage; ///< bytes received from the core, in order
 
-    /** A burst being streamed onto the W channel. */
+    /** A burst being streamed onto the W channel. Its bytes stay at
+     *  the front of _stage until the last beat leaves; each beat is
+     *  built from them as it is sent. */
     struct OpenBurst
     {
         bool valid = false;
         WriteRequest header;
-        std::vector<WriteBeat> beats;
-        std::size_t nextBeat = 0;
+        u64 offset = 0;   ///< first stream byte within the first beat
+        u64 txnBytes = 0; ///< stream bytes the burst carries
+        u32 nextBeat = 0;
         bool headerSent = false;
     };
     OpenBurst _open;
 
-    /** Outstanding burst sizes keyed by tag (for byte accounting). */
-    std::deque<std::pair<u64, u64>> _outstanding; ///< (tag, bytes)
+    /** Outstanding burst sizes keyed by tag (for byte accounting);
+     *  at most maxInflight, reserved up front. */
+    std::vector<std::pair<u64, u64>> _outstanding; ///< (tag, bytes)
 
     StatScalar *_statBytesWritten;
     StatScalar *_statTxns;

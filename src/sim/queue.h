@@ -14,13 +14,18 @@
  *
  * Both rules make the observable state a function of the previous
  * cycle's commits only, so module tick order cannot change results.
+ *
+ * Storage is one fixed ring of `capacity` slots, like the register
+ * file behind a hardware FIFO: the committed entries come first, then
+ * this cycle's staged pushes, and commit() stamps the staged slots'
+ * visibility cycle. Pushing and popping never allocate.
  */
 
 #ifndef BEETHOVEN_SIM_QUEUE_H
 #define BEETHOVEN_SIM_QUEUE_H
 
-#include <deque>
 #include <source_location>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,6 +40,9 @@ namespace beethoven
 template <typename T>
 class TimedQueue : public Committable
 {
+    static_assert(std::is_default_constructible_v<T>,
+                  "TimedQueue ring slots are default-constructed");
+
   public:
     /**
      * @param sim       owning simulator (for cycle time and commits)
@@ -43,7 +51,8 @@ class TimedQueue : public Committable
      */
     TimedQueue(Simulator &sim, std::size_t capacity, unsigned latency = 1,
                std::source_location loc = std::source_location::current())
-        : _sim(sim), _capacity(capacity), _latency(latency)
+        : _sim(sim), _capacity(capacity), _latency(latency),
+          _slots(capacity)
     {
         beethoven_assert(capacity >= 1, "queue capacity must be >= 1");
         beethoven_assert(latency >= 1, "queue latency must be >= 1");
@@ -122,7 +131,8 @@ class TimedQueue : public Committable
     push(T value)
     {
         beethoven_assert(canPush(), "push to full queue");
-        _pending.push_back(std::move(value));
+        _slots[slot(_committed + _staged)].value = std::move(value);
+        ++_staged;
         if (_wakeOnPush != nullptr) {
             _sim.wakeNow(_wakeOnPush);
             _sim.wakeAt(_wakeOnPush, _sim.cycle() + _latency);
@@ -134,8 +144,7 @@ class TimedQueue : public Committable
     bool
     canPop() const
     {
-        return !_entries.empty() &&
-               _entries.front().readyAt <= _sim.cycle();
+        return _committed != 0 && _slots[_head].readyAt <= _sim.cycle();
     }
 
     bool empty() const { return !canPop(); }
@@ -145,7 +154,7 @@ class TimedQueue : public Committable
     front() const
     {
         beethoven_assert(canPop(), "front() on empty queue");
-        return _entries.front().value;
+        return _slots[_head].value;
     }
 
     /** Remove and return the oldest visible entry. */
@@ -153,8 +162,9 @@ class TimedQueue : public Committable
     pop()
     {
         beethoven_assert(canPop(), "pop() on empty queue");
-        T v = std::move(_entries.front().value);
-        _entries.pop_front();
+        T v = std::move(_slots[_head].value);
+        _head = slot(1);
+        --_committed;
         ++_popsThisCycle;
         if (_wakeOnPop != nullptr)
             _sim.wakeAt(_wakeOnPop, _sim.cycle() + 1);
@@ -166,7 +176,7 @@ class TimedQueue : public Committable
     std::size_t
     occupancy() const
     {
-        return _entries.size() + _pending.size() + _popsThisCycle;
+        return _committed + _staged + _popsThisCycle;
     }
 
     std::size_t capacity() const { return _capacity; }
@@ -177,11 +187,8 @@ class TimedQueue : public Committable
     visibleSize() const
     {
         std::size_t n = 0;
-        for (const auto &e : _entries) {
-            if (e.readyAt > _sim.cycle())
-                break;
+        while (n < _committed && _slots[slot(n)].readyAt <= _sim.cycle())
             ++n;
-        }
         return n;
     }
 
@@ -191,9 +198,10 @@ class TimedQueue : public Committable
         // Pushes staged during cycle C commit as C completes and become
         // visible once the simulator reaches C + latency.
         const Cycle ready_at = _sim.cycle() + _latency;
-        for (auto &v : _pending)
-            _entries.push_back(Entry{ready_at, std::move(v)});
-        _pending.clear();
+        for (std::size_t i = 0; i < _staged; ++i)
+            _slots[slot(_committed + i)].readyAt = ready_at;
+        _committed += _staged;
+        _staged = 0;
         _popsThisCycle = 0;
         _dirty = false;
     }
@@ -201,9 +209,17 @@ class TimedQueue : public Committable
   private:
     struct Entry
     {
-        Cycle readyAt;
-        T value;
+        Cycle readyAt = 0;
+        T value{};
     };
+
+    /** Ring index of the entry @p offset places behind the head. */
+    std::size_t
+    slot(std::size_t offset) const
+    {
+        const std::size_t i = _head + offset;
+        return i < _capacity ? i : i - _capacity;
+    }
 
     /** First push/pop of the cycle enrols this queue for commit. */
     void
@@ -218,8 +234,10 @@ class TimedQueue : public Committable
     Simulator &_sim;
     std::size_t _capacity;
     unsigned _latency;
-    std::deque<Entry> _entries;
-    std::vector<T> _pending;
+    std::vector<Entry> _slots; ///< the ring; sized once, never grows
+    std::size_t _head = 0;      ///< slot of the oldest committed entry
+    std::size_t _committed = 0; ///< entries pushed in earlier cycles
+    std::size_t _staged = 0;    ///< this cycle's pushes, after them
     std::size_t _popsThisCycle = 0;
     Module *_wakeOnPush = nullptr;
     Module *_wakeOnPop = nullptr;

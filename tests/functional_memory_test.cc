@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "axi/axi_types.h"
 #include "base/rng.h"
 #include "dram/functional_memory.h"
 
@@ -66,9 +67,8 @@ TEST(FunctionalMemory, MaskedWriteOnlyTouchesEnabledBytes)
     const std::vector<u8> base(8, 0xAA);
     mem.write(64, base.size(), base.data());
 
-    std::vector<u8> data = {1, 2, 3, 4, 5, 6, 7, 8};
-    std::vector<bool> strb = {true, false, true, false,
-                              false, false, false, true};
+    const Payload data = {1, 2, 3, 4, 5, 6, 7, 8};
+    const u64 strb = 0b10000101; // bytes 0, 2 and 7
     mem.writeMasked(64, data, strb);
 
     std::vector<u8> out(8);
@@ -80,11 +80,13 @@ TEST(FunctionalMemory, MaskedWriteOnlyTouchesEnabledBytes)
 TEST(FunctionalMemory, EmptyStrobeWritesEverything)
 {
     FunctionalMemory mem;
-    std::vector<u8> data = {9, 8, 7};
-    mem.writeMasked(0, data, {});
+    // A beat whose strobe was never set enables every byte.
+    WriteBeat beat;
+    beat.data = {9, 8, 7};
+    mem.writeMasked(0, beat.data, beat.strb);
     std::vector<u8> out(3);
     mem.read(0, 3, out.data());
-    EXPECT_EQ(out, data);
+    EXPECT_EQ(out, (std::vector<u8>{9, 8, 7}));
 }
 
 TEST(FunctionalMemory, RandomSparseTraffic)

@@ -291,7 +291,7 @@ TEST(Lint, Bth013UncalibratedPowerModel)
     EXPECT_FALSE(lintWith(baseConfig()).has("BTH013"));
 }
 
-// --- memory layer: BTH020-BTH023 ---------------------------------------
+// --- memory layer: BTH020-BTH024 ---------------------------------------
 
 TEST(LintMemory, Bth020NonConvertibleWidth)
 {
@@ -338,6 +338,34 @@ TEST(LintMemory, Bth023BurstBeyondBusLimit)
     cfg.systems[0].readChannels[0].burstBeats = 128; // bus limit 64
     EXPECT_TRUE(lintWith(cfg).has("BTH023"));
     EXPECT_FALSE(lintWith(baseConfig()).has("BTH023"));
+}
+
+TEST(LintMemory, Bth024WiderThanInlinePayload)
+{
+    // A 64-byte row or channel is the widest a payload carries.
+    AcceleratorConfig at_cap = baseConfig();
+    at_cap.systems[0].readChannels[0].dataBytes = 64;
+    at_cap.systems[0].scratchpads.push_back(
+        {"row64", 512, 64, 1, 1, true});
+    EXPECT_FALSE(lintWith(at_cap).has("BTH024"));
+    EXPECT_FALSE(lintWith(baseConfig()).has("BTH024"));
+
+    // One byte more on a scratchpad row fires, init path or not.
+    for (bool init : {true, false}) {
+        AcceleratorConfig row = baseConfig();
+        row.systems[0].scratchpads.push_back(
+            {"row65", 65 * 8, 64, 1, 1, init});
+        const DiagnosticReport rep = lintWith(row);
+        EXPECT_TRUE(rep.has("BTH024")) << "init " << init;
+        EXPECT_NE(rep.format().find("row65"), std::string::npos);
+    }
+
+    // A 128-byte channel is width-convertible (BTH020 stays quiet) but
+    // does not fit a payload.
+    AcceleratorConfig wide = baseConfig();
+    wide.systems[0].readChannels[0].dataBytes = 128;
+    EXPECT_TRUE(lintWith(wide).has("BTH024"));
+    EXPECT_FALSE(lintWith(wide).has("BTH020"));
 }
 
 // --- axi layer: BTH030-BTH032 ------------------------------------------

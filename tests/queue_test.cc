@@ -115,6 +115,90 @@ TEST(TimedQueue, MoveOnlyPayloads)
 }
 
 /**
+ * Ring storage: a full queue streaming for many times its capacity
+ * wraps its head and tail around the ring again and again. Capacity 4
+ * with latency 3 is exactly enough to sustain one entry per cycle, so
+ * the queue stays full and every entry spends exactly `latency` cycles
+ * in flight.
+ */
+TEST(TimedQueue, RingWrapsAtFullOccupancy)
+{
+    QueueHarness h;
+    constexpr std::size_t cap = 4;
+    constexpr unsigned latency = 3;
+    TimedQueue<int> q(h.sim, cap, latency);
+    std::vector<Cycle> pushedAt;
+    int popped = 0;
+    for (Cycle c = 0; c < 10 * cap; ++c) {
+        if (q.canPop()) {
+            const int v = q.pop();
+            ASSERT_EQ(v, popped) << "FIFO order across the wrap";
+            EXPECT_EQ(h.sim.cycle(), pushedAt[v] + latency);
+            ++popped;
+        }
+        ASSERT_TRUE(q.canPush()) << "full throughput at cycle " << c;
+        pushedAt.push_back(h.sim.cycle());
+        q.push(static_cast<int>(pushedAt.size() - 1));
+        if (c >= latency) {
+            EXPECT_EQ(q.occupancy(), cap) << "full at cycle " << c;
+        }
+        h.sim.step();
+    }
+    EXPECT_GE(popped, static_cast<int>(3 * cap));
+}
+
+/** This cycle's pops still occupy space, including pops of entries
+ *  that straddle the end of the ring. */
+TEST(TimedQueue, OccupancyCountsPopsAcrossWrap)
+{
+    QueueHarness h;
+    TimedQueue<int> q(h.sim, 3);
+    q.push(0);
+    q.push(1);
+    q.push(2);
+    h.sim.step();
+    EXPECT_EQ(q.pop(), 0);
+    EXPECT_EQ(q.pop(), 1);
+    h.sim.step();
+    q.push(3); // these two land in the ring's first slots
+    q.push(4);
+    h.sim.step();
+    ASSERT_EQ(q.visibleSize(), 3u);
+    EXPECT_EQ(q.pop(), 2);
+    EXPECT_EQ(q.pop(), 3);
+    EXPECT_EQ(q.pop(), 4);
+    EXPECT_FALSE(q.canPop());
+    EXPECT_EQ(q.occupancy(), 3u) << "pops free space only after commit";
+    EXPECT_FALSE(q.canPush());
+    h.sim.step();
+    EXPECT_EQ(q.occupancy(), 0u);
+    EXPECT_TRUE(q.canPush());
+}
+
+/** Slots are reused: a move-only payload is moved out on pop and a
+ *  later push moves a fresh one into the same slot. */
+TEST(TimedQueue, MoveOnlyPayloadSlotReuse)
+{
+    QueueHarness h;
+    TimedQueue<std::unique_ptr<int>> q(h.sim, 2);
+    for (int round = 0; round < 8; ++round) {
+        q.push(std::make_unique<int>(2 * round));
+        q.push(std::make_unique<int>(2 * round + 1));
+        h.sim.step();
+        for (int k = 0; k < 2; ++k) {
+            auto p = q.pop();
+            ASSERT_NE(p, nullptr) << "round " << round;
+            EXPECT_EQ(*p, 2 * round + k);
+        }
+        h.sim.step();
+    }
+    // An entry still queued at destruction is released with the ring.
+    q.push(std::make_unique<int>(99));
+    h.sim.step();
+    EXPECT_EQ(*q.front(), 99);
+}
+
+/**
  * Determinism: two producer/consumer module pairs with opposite
  * registration orders must produce identical traces.
  */
