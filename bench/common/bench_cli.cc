@@ -1,20 +1,19 @@
 #include "common/bench_cli.h"
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
+#include "base/args.h"
 #include "base/json.h"
-#include "base/log.h"
 #include "perf/host_clock.h"
 #include "perf/host_profiler.h"
 #include "perf/kpi.h"
 #include "power/power.h"
 #include "sim/simulator.h"
-#include "trace/bottleneck.h"
 #include "verify/invariants.h"
 
 namespace beethoven
@@ -35,8 +34,7 @@ benchBasename(const char *argv0)
 /**
  * Parse a --host-profile spec into a sampling period: "" (bare flag)
  * means 64, "scoped" means every cycle, "sample:N" means one cycle in
- * N. Anything else is a usage error (exit 2, consistent with bad
- * output paths).
+ * N (N >= 1).
  */
 std::unique_ptr<HostProfiler>
 makeProfiler(const std::string &spec)
@@ -45,82 +43,60 @@ makeProfiler(const std::string &spec)
         return std::make_unique<HostProfiler>();
     if (spec == "scoped")
         return std::make_unique<HostProfiler>(1);
-    if (spec.rfind("sample:", 0) == 0) {
-        const unsigned long n =
-            std::strtoul(spec.c_str() + 7, nullptr, 10);
-        if (n >= 1)
-            return std::make_unique<HostProfiler>(static_cast<u32>(n));
+    if (spec.starts_with("sample:")) {
+        const std::optional<u64> n = parseCount(spec.substr(7));
+        if (n && *n >= 1 && *n <= std::numeric_limits<u32>::max())
+            return std::make_unique<HostProfiler>(static_cast<u32>(*n));
     }
-    std::cerr << "bad --host-profile mode '" << spec
-              << "' (expected scoped or sample:N)\n";
-    std::exit(2);
+    throw UsageError("bad --host-profile mode '" + spec +
+                     "' (expected scoped or sample:N)");
 }
 
 } // namespace
 
-BenchCli::BenchCli(int &argc, char **argv)
+BenchCli::BenchCli(int argc, char **argv)
     : _benchName(benchBasename(argc > 0 ? argv[0] : nullptr)),
       _startNs(hostNowNs())
 {
-    bool host_profile = false;
-    std::string profile_spec;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--trace=", 8) == 0) {
-            _tracePath = arg + 8;
-        } else if (std::strncmp(arg, "--stats-json=", 13) == 0) {
-            _statsPath = arg + 13;
-        } else if (std::strncmp(arg, "--stall-report=", 15) == 0) {
-            _stallReportPath = arg + 15;
-        } else if (std::strncmp(arg, "--perf-json=", 12) == 0) {
-            _perfPath = arg + 12;
-        } else if (std::strncmp(arg, "--power-trace=", 14) == 0) {
-            _powerTracePath = arg + 14;
-        } else if (std::strncmp(arg, "--power-json=", 13) == 0) {
-            _powerJsonPath = arg + 13;
-        } else if (std::strncmp(arg, "--power-window=", 15) == 0) {
-            _powerWindow = std::strtoull(arg + 15, nullptr, 10);
-            if (_powerWindow == 0) {
-                std::cerr << "bad --power-window (expected N >= 1)\n";
-                std::exit(2);
-            }
-        } else if (std::strcmp(arg, "--host-profile") == 0) {
-            host_profile = true;
-        } else if (std::strncmp(arg, "--host-profile=", 15) == 0) {
-            host_profile = true;
-            profile_spec = arg + 15;
-        } else if (std::strncmp(arg, "--sim-kernel=", 13) == 0) {
-            const char *k = arg + 13;
-            if (std::strcmp(k, "event") == 0) {
-                _tickKernel = false;
-            } else if (std::strcmp(k, "tick") == 0) {
-                _tickKernel = true;
+    try {
+        bool host_profile = false;
+        std::string profile_spec;
+        std::string kernel = "event";
+        for (int i = 1; i < argc; ++i) {
+            const Arg arg(argv[i]);
+            if (arg.value("trace", _tracePath) ||
+                arg.value("stats-json", _statsPath) ||
+                arg.value("perf-json", _perfPath) ||
+                arg.value("power-trace", _powerTracePath) ||
+                arg.value("power-json", _powerJsonPath) ||
+                arg.value("sim-kernel", kernel) ||
+                arg.count("watchdog", _watchdog))
+                continue;
+            if (arg.flag("host-profile") ||
+                arg.value("host-profile", profile_spec)) {
+                host_profile = true;
+            } else if (arg.flag("quick")) {
+                _quick = true;
+            } else if (arg.flag("no-invariants")) {
+                _invariants = false;
             } else {
-                std::cerr << "bad --sim-kernel '" << k
-                          << "' (expected tick or event)\n";
-                std::exit(2);
+                arg.reject();
             }
-        } else if (std::strncmp(arg, "--watchdog=", 11) == 0) {
-            _watchdog = std::strtoull(arg + 11, nullptr, 10);
-        } else if (std::strcmp(arg, "--quick") == 0) {
-            _quick = true;
-        } else if (std::strcmp(arg, "--no-invariants") == 0) {
-            _invariants = false;
-        } else if (std::strcmp(arg, "--invariants") == 0) {
-            _invariants = true;
-        } else {
-            argv[out++] = argv[i];
         }
+        if (kernel != "event" && kernel != "tick") {
+            throw UsageError("bad --sim-kernel '" + kernel +
+                             "' (expected tick or event)");
+        }
+        _tickKernel = kernel == "tick";
+        if (host_profile)
+            _profiler = makeProfiler(profile_spec);
+        else if (!_perfPath.empty())
+            // KPIs only: heartbeat without per-component timing.
+            _profiler = std::make_unique<HostProfiler>(0);
+    } catch (const UsageError &e) {
+        std::cerr << _benchName << ": " << e.what() << "\n";
+        std::exit(2);
     }
-    argc = out;
-    argv[argc] = nullptr;
-
-    if (host_profile)
-        _profiler = makeProfiler(profile_spec);
-    else if (!_perfPath.empty())
-        // KPIs only: heartbeat without per-component timing.
-        _profiler = std::make_unique<HostProfiler>(0);
 
     // Fail unwritable output paths before any simulation runs. The
     // append-mode probe creates missing files but never truncates an
@@ -137,7 +113,6 @@ BenchCli::BenchCli(int &argc, char **argv)
     };
     probe(_tracePath, "trace");
     probe(_statsPath, "stats");
-    probe(_stallReportPath, "stall report");
     probe(_perfPath, "perf json");
     probe(_powerTracePath, "power trace");
     probe(_powerJsonPath, "power json");
@@ -145,7 +120,7 @@ BenchCli::BenchCli(int &argc, char **argv)
     if (!_tracePath.empty())
         _sink = std::make_unique<TraceSink>();
     if (!_powerTracePath.empty() || !_powerJsonPath.empty()) {
-        _powerMeter = std::make_unique<PowerMeter>(_powerWindow);
+        _powerMeter = std::make_unique<PowerMeter>();
         if (!_powerTracePath.empty()) {
             _powerSink = std::make_unique<TraceSink>();
             _powerMeter->attachTrace(_powerSink.get());
@@ -154,13 +129,6 @@ BenchCli::BenchCli(int &argc, char **argv)
 }
 
 BenchCli::~BenchCli() = default;
-
-void
-BenchCli::armWatchdog(Simulator &sim) const
-{
-    if (_watchdog != 0)
-        sim.setWatchdog(_watchdog);
-}
 
 SimKernel
 BenchCli::simKernel() const
@@ -172,7 +140,8 @@ void
 BenchCli::instrument(Simulator &sim) const
 {
     sim.setKernel(simKernel());
-    armWatchdog(sim);
+    if (_watchdog != 0)
+        sim.setWatchdog(_watchdog);
     if (_profiler != nullptr)
         sim.attachHostProfiler(_profiler.get());
     if (_powerMeter != nullptr)
@@ -190,7 +159,7 @@ BenchCli::armInvariants(AcceleratorSoc &soc) const
 void
 BenchCli::recordStats(const std::string &label, const StatGroup &stats)
 {
-    if (_statsPath.empty() && _stallReportPath.empty())
+    if (_statsPath.empty())
         return;
     std::ostringstream oss;
     stats.dumpJson(oss);
@@ -301,24 +270,6 @@ BenchCli::finish()
     }
     if (_profiler != nullptr && _profiler->period() != 0)
         _profiler->writeReport(std::cerr);
-    if (!_stallReportPath.empty()) {
-        try {
-            const std::vector<RunStallReport> runs =
-                analyzeStallStats(parseJson(combinedStatsJson()));
-            writeBottleneckTable(std::cout, runs, /*top_n=*/5);
-            std::ofstream f(_stallReportPath);
-            if (!f) {
-                std::cerr << "cannot open stall report file "
-                          << _stallReportPath << "\n";
-                rc = 1;
-            } else {
-                writeBottleneckJson(f, runs);
-            }
-        } catch (const ConfigError &e) {
-            std::cerr << "stall report failed: " << e.what() << "\n";
-            rc = 1;
-        }
-    }
     return rc;
 }
 

@@ -2,17 +2,16 @@
  * @file
  * Shared command-line plumbing for the bench/ executables.
  *
- * Every bench main constructs a BenchCli, which strips the
- * observability flags from argv before the bench (or google-benchmark)
- * sees them:
+ * Every bench main constructs a BenchCli, which parses these flags
+ * with the shared parser (base/args.h). Any other argument, or a
+ * malformed count, is a usage error (exit 2):
  *
  *   --trace=FILE        attachable Chrome-trace sink; FILE gets the
  *                       trace_event JSON, and a text summary + cycle
  *                       profile are printed after the run
  *   --stats-json=FILE   machine-readable stats: one JSON object per
- *                       recordStats() label
- *   --stall-report=FILE bottleneck analysis of the stall-attribution
- *                       stats: ranked table on stdout, JSON to FILE
+ *                       recordStats() label; `beethoven bottleneck`
+ *                       ranks its stall-attribution cycle sinks
  *   --perf-json=FILE    run-level host KPIs (schema beethoven-perf-1):
  *                       wall_ms, sim_cycles, cycles_per_sec,
  *                       peak_rss_kb, allocation churn, cycles/sec
@@ -32,9 +31,7 @@
  *                       joules, avg/peak watts, static floor, per-SLR
  *                       and per-component breakdown, and — when the
  *                       bench reports an operation count — energy per
- *                       op. tools/power_report renders these files
- *   --power-window=N    cycles between power samples (default 1024;
- *                       the --power-trace overhead knob)
+ *                       op. `beethoven power` renders these files
  *   --watchdog=N        arm the simulator hang watchdog (abort after N
  *                       cycles without forward progress; 0 = off)
  *   --sim-kernel=K      simulation kernel: "event" (default; quiescent
@@ -82,8 +79,8 @@ enum class SimKernel;
 class BenchCli
 {
   public:
-    /** Parse and remove recognized flags from @p argc / @p argv. */
-    BenchCli(int &argc, char **argv);
+    /** Parse @p argv; an unknown or malformed flag exits 2. */
+    BenchCli(int argc, char **argv);
 
     ~BenchCli(); // out of line: HostProfiler is incomplete here
 
@@ -91,13 +88,9 @@ class BenchCli
     TraceSink *sink() { return _sink.get(); }
 
     bool quick() const { return _quick; }
-    bool tracing() const { return _sink != nullptr; }
 
     /** The --sim-kernel selection (default SimKernel::Event). */
     SimKernel simKernel() const;
-
-    /** Arm @p sim's hang watchdog when --watchdog=N was given. */
-    void armWatchdog(Simulator &sim) const;
 
     /**
      * Attach the observability this invocation asked for to @p sim:
@@ -108,13 +101,8 @@ class BenchCli
      */
     void instrument(Simulator &sim) const;
 
-    /** The host profiler, or nullptr when neither perf flag was given. */
-    HostProfiler *profiler() const { return _profiler.get(); }
-
     /** The power meter, or nullptr when neither power flag was given. */
     PowerMeter *powerMeter() const { return _powerMeter.get(); }
-
-    bool invariantsEnabled() const { return _invariants; }
 
     /**
      * Attach the live invariant observers (verify/invariants.h) to
@@ -133,8 +121,7 @@ class BenchCli
     /**
      * Publish @p sim's stall accounts into its stats tree, then
      * snapshot them under @p label. Benches use this overload so the
-     * stall-attribution scalars land in --stats-json / --stall-report
-     * output.
+     * stall-attribution scalars land in --stats-json output.
      */
     void recordStats(const std::string &label, Simulator &sim);
 
@@ -154,7 +141,7 @@ class BenchCli
                            double ops_per_sec);
 
     /**
-     * Write the trace, stats and stall-report files (if requested) and
+     * Write the trace, stats, perf and power files (if requested) and
      * print the trace summary + cycle profile. @return process exit
      * code.
      */
@@ -166,11 +153,9 @@ class BenchCli
     std::string _benchName;
     std::string _tracePath;
     std::string _statsPath;
-    std::string _stallReportPath;
     std::string _perfPath;
     std::string _powerTracePath;
     std::string _powerJsonPath;
-    u64 _powerWindow = 1024;
     bool _quick = false;
     bool _invariants = true;
     /** --sim-kernel=tick; stored as a flag so the header needn't see

@@ -136,7 +136,7 @@ main(int argc, char **argv)
 
     // GPU: the paper's measured 3090 reference. Also recorded into the
     // --power-json report so Table III's efficiency ratios are
-    // regression-testable from the file alone (tools/power_report).
+    // regression-testable from the file alone (`beethoven power`).
     printRow("GPU (paper)", 5.0e6, 320.0);
     cli.addPowerReference("GPU (paper)", 320.0, 5.0e6);
 

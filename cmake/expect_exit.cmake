@@ -1,11 +1,11 @@
 # Run a command and require an exact exit code.
 #
-# CTest's PASS/FAIL only distinguishes zero from non-zero; the CLI
-# tools document distinct non-zero codes (1 = check failed, 2 = usage
-# or IO error, 3 = fuzzer found a failure) and the tests below pin the
-# exact one. Usage:
+# CTest's PASS/FAIL only distinguishes zero from non-zero; the
+# beethoven subcommands document distinct non-zero codes (1 = check
+# failed, 2 = usage or IO error, 3 = fuzzer found a failure) and the
+# tests below pin the exact one. Usage:
 #
-#   cmake -DCMD="json_check missing.json" -DEXPECTED=1
+#   cmake -DCMD="beethoven json-check missing.json" -DEXPECTED=1
 #         -P expect_exit.cmake
 #
 # Optional: -DSTDOUT_FILE=path captures the command's stdout to a file

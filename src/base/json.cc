@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "base/log.h"
 
@@ -259,6 +261,17 @@ JsonValue
 parseJson(const std::string &text)
 {
     return Parser(text).parse();
+}
+
+std::optional<JsonValue>
+parseJsonFile(const std::string &path)
+{
+    std::ifstream f(path);
+    if (!f)
+        return std::nullopt;
+    std::ostringstream buf;
+    buf << f.rdbuf();
+    return parseJson(buf.str());
 }
 
 std::string

@@ -10,6 +10,7 @@
 #ifndef BEETHOVEN_BASE_JSON_H
 #define BEETHOVEN_BASE_JSON_H
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,6 +46,13 @@ struct JsonValue
  *         character (below 0x20) inside a string (RFC 8259 §7).
  */
 JsonValue parseJson(const std::string &text);
+
+/**
+ * Read the file at @p path and parse it with parseJson().
+ * @return nullopt when the file cannot be opened.
+ * @throws ConfigError when its contents are malformed.
+ */
+std::optional<JsonValue> parseJsonFile(const std::string &path);
 
 /**
  * Escape @p s for embedding in a JSON string literal (no surrounding

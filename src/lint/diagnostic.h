@@ -40,8 +40,8 @@ struct Diagnostic
 
 /**
  * Registry entry for one diagnostic code. The registry is the
- * authoritative list of everything the linter can say; soc_lint
- * --list-codes prints it and tests enforce that emitted codes are
+ * authoritative list of everything the linter can say; `beethoven
+ * lint --list-codes` prints it and tests enforce that emitted codes are
  * registered.
  */
 struct DiagnosticCodeInfo
@@ -100,7 +100,7 @@ class DiagnosticReport
      */
     std::string format() const;
 
-    /** Machine-readable rendering (soc_lint --json). */
+    /** Machine-readable rendering (beethoven lint --json). */
     std::string toJson() const;
 
   private:

@@ -22,7 +22,7 @@
  *
  *  - EnergyConservationInvariant: a live Simulator::Invariant that
  *    re-sums the component energies against the ledger total at every
- *    periodic check (the soc_fuzz energy-conservation oracle).
+ *    periodic check (the fuzzer's energy-conservation oracle).
  */
 
 #ifndef BEETHOVEN_POWER_POWER_H

@@ -11,7 +11,7 @@
  * ratios against them are computable from the file alone.
  *
  * bench/common/bench_cli writes these via --power-json;
- * tools/power_report renders them. The parser accepts exactly schema
+ * `beethoven power` renders them. The parser accepts exactly schema
  * "beethoven-power-1" and throws ConfigError on anything else.
  */
 

@@ -58,8 +58,9 @@ struct SourceSite
  * TimedQueue::setWakeOnPush records the consumer declaration but skips
  * arming the wake — a deliberately planted lost-wake bug that the
  * checker's graph pass must catch (BTH100). Auto-disarms after firing;
- * 0 disarms immediately. Used by soc_fuzz --plant-wake-violation,
- * soc_lint and the graph-rule tests; never set in production paths.
+ * 0 disarms immediately. Used by `beethoven fuzz
+ * --plant-wake-violation`, `beethoven lint` and the graph-rule tests;
+ * never set in production paths.
  */
 void plantMissingPushWake(u64 nth);
 

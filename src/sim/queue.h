@@ -73,7 +73,7 @@ class TimedQueue : public Committable
     setWakeOnPush(Module *consumer,
                   std::source_location loc = std::source_location::current())
     {
-        // The plant (soc_fuzz --plant-wake-violation) records the
+        // The plant (fuzz --plant-wake-violation) records the
         // consumer declaration but skips arming — exactly the lost-wake
         // bug class BTH100 exists to catch.
         const bool planted = consumePlantMissingPushWake();

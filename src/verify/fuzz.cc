@@ -604,10 +604,12 @@ fuzzCaseToJson(const FuzzCase &c)
     return os.str();
 }
 
-FuzzCase
-fuzzCaseFromJson(const std::string &text)
+namespace
 {
-    const JsonValue root = parseJson(text);
+
+FuzzCase
+fuzzCaseFromValue(const JsonValue &root)
+{
     if (!root.isObject())
         fatal("fuzz repro JSON: top level is not an object");
 
@@ -679,6 +681,14 @@ fuzzCaseFromJson(const std::string &text)
     return c;
 }
 
+} // namespace
+
+FuzzCase
+fuzzCaseFromJson(const std::string &text)
+{
+    return fuzzCaseFromValue(parseJson(text));
+}
+
 void
 writeReproFile(const FuzzCase &c, const std::string &path)
 {
@@ -693,12 +703,10 @@ writeReproFile(const FuzzCase &c, const std::string &path)
 FuzzCase
 loadReproFile(const std::string &path)
 {
-    std::ifstream is(path);
-    if (!is)
+    const std::optional<JsonValue> root = parseJsonFile(path);
+    if (!root)
         fatal("cannot open repro file '%s'", path.c_str());
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return fuzzCaseFromJson(buf.str());
+    return fuzzCaseFromValue(*root);
 }
 
 } // namespace beethoven::verify

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fuzz execution, failure classification, case shrinking, and repro
- * serialization — the engine behind tools/soc_fuzz.
+ * serialization — the engine behind `beethoven fuzz`.
  *
  * One iteration: elaborate the FuzzCase onto a FuzzPlatform, attach
  * SocInvariants (live AXI/NoC/response checking) and the hang

@@ -274,7 +274,7 @@ TEST(SocAnalysis, ElaboratedSocIsAnalyzeClean)
         << soc.diagnostics().format();
 }
 
-// soc_lint --preset=fig4|fig6: the paper's compositions carry
+// beethoven lint --preset=fig4|fig6: the paper's compositions carry
 // config-layer warnings (BTH041, and BTH042 on fig6) but nothing on
 // the elaborated graph.
 TEST(SocAnalysis, Fig4PresetHasNoGraphFindings)

@@ -327,7 +327,7 @@ TEST(EventKernel, SleptGapBackfillsWithGapClass)
 
 TEST(EventKernel, PlantedLostWakeStallsTheConsumer)
 {
-    // The fault-injection hook behind soc_fuzz --plant-lost-wake:
+    // The fault-injection hook behind beethoven fuzz --plant-lost-wake:
     // dropping wake schedules must produce an observable difference
     // (here: lost deliveries), which is exactly what the differential
     // harness exists to catch.

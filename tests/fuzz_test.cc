@@ -53,7 +53,7 @@ TEST(FuzzHarness, EveryKindMatchesGolden)
 TEST(FuzzHarness, SampledCasesAreLegal)
 {
     // Every sampled composition must elaborate and run clean; this is
-    // a miniature of the soc_fuzz smoke with per-case assertions.
+    // a miniature of the fuzz smoke with per-case assertions.
     FuzzOptions opt;
     for (u64 seed = 100; seed < 105; ++seed) {
         RandomSocBuilder builder(seed);

@@ -2,8 +2,8 @@
 # Unified pre-merge gate: chain every static and dynamic check the
 # repo ships, in cheapest-first order, and stop at the first failure.
 #
-#   1. check     soc_lint on the clean reference case and both paper
-#                presets (composition contract BTH0xx, then the
+#   1. check     `beethoven lint` on the clean reference case and both
+#                paper presets (composition contract BTH0xx, then the
 #                elaborated graph's wake/sleep contract BTH1xx)
 #   2. tidy      tools/run_tidy.sh --diff (new clang-tidy warnings in
 #                changed files only; skips when LLVM is absent)
@@ -16,16 +16,17 @@
 #                sanitize` to opt in; skipped otherwise): the kernel,
 #                host-profiler, runtime-server and checker suites (the
 #                checker runs in every AcceleratorSoc constructor), the
-#                JSON escaper/parser and stats-number suites, plus a
-#                tick-vs-event soc_fuzz differential
+#                JSON escaper/parser, flag-parser and stats-number
+#                suites, plus a tick-vs-event `beethoven fuzz
+#                --differential`
 #
 # Usage: tools/run_checks.sh [BUILD_DIR]
-#   BUILD_DIR  build tree holding the tools (default: build)
+#   BUILD_DIR  build tree holding tools/beethoven (default: build)
 set -eu
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build"}
-tools_dir="$build_dir/tools"
+beethoven="$build_dir/tools/beethoven"
 testdata="$repo_root/tools/testdata"
 
 fail() {
@@ -34,9 +35,9 @@ fail() {
 }
 
 echo "== run_checks: 1/4 check =="
-"$tools_dir/soc_lint" "$testdata/lint_clean.json" || fail check
-"$tools_dir/soc_lint" --preset=fig4 || fail check
-"$tools_dir/soc_lint" --preset=fig6 || fail check
+"$beethoven" lint "$testdata/lint_clean.json" || fail check
+"$beethoven" lint --preset=fig4 || fail check
+"$beethoven" lint --preset=fig6 || fail check
 
 echo "== run_checks: 2/4 tidy (diff) =="
 "$repo_root/tools/run_tidy.sh" --diff "$build_dir" || fail tidy
@@ -68,10 +69,10 @@ echo "== run_checks: 4/4 sanitize (ASan+UBSan smoke) =="
 san_dir="$repo_root/build-sanitize"
 if [ -f "$san_dir/CTestTestfile.cmake" ]; then
     (cd "$san_dir" &&
-        ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel|HostProfiler|RuntimeServer|Lint|GraphRules|SocAnalysis|Json|StatGroup|TimedQueue|AllocFree' \
+        ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel|HostProfiler|RuntimeServer|Lint|GraphRules|SocAnalysis|Json|Args|StatGroup|TimedQueue|AllocFree' \
         --output-on-failure -j "$(nproc)") || fail sanitize
-    "$san_dir/tools/soc_fuzz" --differential --seed=1 --iterations=3 ||
-        fail sanitize
+    "$san_dir/tools/beethoven" fuzz --differential --seed=1 \
+        --iterations=3 || fail sanitize
 else
     echo "run_checks: $san_dir not configured; skipping sanitize smoke" \
          "(run 'cmake --preset sanitize && cmake --build --preset" \
