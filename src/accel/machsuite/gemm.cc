@@ -52,7 +52,12 @@ GemmCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
+        // B^T loads through the scratchpad's init-from-memory path
+        // while both streams start.
+        auto cmd = acceptCommand(_bMat.initPort().canPush() &&
+                                     _aReader.cmdPort().canPush() &&
+                                     _cWriter.cmdPort().canPush(),
+                                 StallClass::Idle);
         if (!cmd)
             return;
         _cmd = *cmd;
@@ -62,13 +67,6 @@ GemmCore::tick()
                          "gemm: n=%u must be a multiple of %u in "
                          "[%u, %u]",
                          _n, lanes, lanes, maxN);
-        // Load B^T through the scratchpad's init-from-memory path and
-        // kick off both streams.
-        if (!_bMat.initPort().canPush() ||
-            !_aReader.cmdPort().canPush() ||
-            !_cWriter.cmdPort().canPush()) {
-            return;
-        }
         _bMat.initPort().push(
             {_cmd.args[argBt], 0, _n * _n / lanes});
         _aReader.cmdPort().push(

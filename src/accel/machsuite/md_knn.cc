@@ -63,7 +63,10 @@ MdKnnCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
+        auto cmd = acceptCommand(_pos.initPort().canPush() &&
+                                     _nlReader.cmdPort().canPush() &&
+                                     _forceWriter.cmdPort().canPush(),
+                                 StallClass::Idle);
         if (!cmd)
             return;
         _cmd = *cmd;
@@ -72,11 +75,6 @@ MdKnnCore::tick()
         _k = static_cast<unsigned>(cmd->args[argK]);
         beethoven_assert(_n >= 1 && _n <= maxAtoms && _k >= 1,
                          "md-knn: bad n=%u k=%u", _n, _k);
-        if (!_pos.initPort().canPush() ||
-            !_nlReader.cmdPort().canPush() ||
-            !_forceWriter.cmdPort().canPush()) {
-            return;
-        }
         _pos.initPort().push({_cmd.args[argPos], 0, _n});
         _nlReader.cmdPort().push(
             {_cmd.args[argNeighbors], u64(_n) * _k * sizeof(i32)});

@@ -55,7 +55,9 @@ NwCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
+        auto cmd = acceptCommand(_seqs.initPort().canPush() &&
+                                     _outWriter.cmdPort().canPush(),
+                                 StallClass::Idle);
         if (!cmd)
             return;
         _cmd = *cmd;
@@ -63,10 +65,6 @@ NwCore::tick()
         _n = static_cast<unsigned>(cmd->args[argN]);
         beethoven_assert(_n >= 1 && _n <= maxN, "nw: n=%u out of range",
                          _n);
-        if (!_seqs.initPort().canPush() ||
-            !_outWriter.cmdPort().canPush()) {
-            return;
-        }
         _seqs.initPort().push({_cmd.args[argSeqA], 0, _n});
         _outWriter.cmdPort().push(
             {_cmd.args[argOut], u64(_n + 1) * sizeof(i32)});

@@ -61,7 +61,9 @@ Stencil2dCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
+        auto cmd = acceptCommand(_grid.initPort().canPush() &&
+                                     _outWriter.cmdPort().canPush(),
+                                 StallClass::Idle);
         if (!cmd)
             return;
         _cmd = *cmd;
@@ -72,10 +74,6 @@ Stencil2dCore::tick()
                              _rows * _cols <= maxDim * maxDim,
                          "stencil2d: bad dimensions %ux%u", _rows,
                          _cols);
-        if (!_grid.initPort().canPush() ||
-            !_outWriter.cmdPort().canPush()) {
-            return;
-        }
         _grid.initPort().push({_cmd.args[argIn], 0, _rows * _cols});
         _outWriter.cmdPort().push(
             {_cmd.args[argOut], u64(_rows) * _cols * sizeof(i32)});
@@ -187,7 +185,9 @@ Stencil3dCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
+        auto cmd = acceptCommand(_grid.initPort().canPush() &&
+                                     _outWriter.cmdPort().canPush(),
+                                 StallClass::Idle);
         if (!cmd)
             return;
         _cmd = *cmd;
@@ -195,10 +195,6 @@ Stencil3dCore::tick()
         _n = static_cast<unsigned>(cmd->args[argN]);
         beethoven_assert(_n >= 3 && _n <= maxDim,
                          "stencil3d: n=%u out of range", _n);
-        if (!_grid.initPort().canPush() ||
-            !_outWriter.cmdPort().canPush()) {
-            return;
-        }
         _grid.initPort().push({_cmd.args[argIn], 0, _n * _n * _n});
         _outWriter.cmdPort().push(
             {_cmd.args[argOut], u64(_n) * _n * _n * sizeof(i32)});

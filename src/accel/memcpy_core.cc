@@ -50,11 +50,10 @@ MemcpyCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
-        if (!cmd) {
-            accountCycle(StallClass::StallCmd);
+        // The Launch state below waits for the stream ports itself.
+        auto cmd = acceptCommand(true, StallClass::StallCmd);
+        if (!cmd)
             return;
-        }
         _cmd = *cmd;
         _lastStart = sim().cycle();
         const u64 len = cmd->args[argLenBytes];

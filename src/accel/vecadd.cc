@@ -38,7 +38,10 @@ VecAddCore::tick()
 {
     switch (_state) {
       case State::Idle: {
-        auto cmd = pollCommand();
+        // Fig. 2: both streams are launched from the request fields.
+        auto cmd = acceptCommand(_reader.cmdPort().canPush() &&
+                                     _writer.cmdPort().canPush(),
+                                 StallClass::Idle);
         if (!cmd)
             return;
         _cmd = *cmd;
@@ -50,13 +53,10 @@ VecAddCore::tick()
             _state = State::Respond;
             return;
         }
-        // Fig. 2: both streams are launched from the request fields.
-        if (_reader.cmdPort().canPush() && _writer.cmdPort().canPush()) {
-            const u64 len_bytes = n * 4; // Cat(n_eles, 0.U(2.W))
-            _reader.cmdPort().push({addr, len_bytes});
-            _writer.cmdPort().push({addr, len_bytes});
-            _state = State::Streaming;
-        }
+        const u64 len_bytes = n * 4; // Cat(n_eles, 0.U(2.W))
+        _reader.cmdPort().push({addr, len_bytes});
+        _writer.cmdPort().push({addr, len_bytes});
+        _state = State::Streaming;
         return;
       }
       case State::Streaming: {

@@ -46,6 +46,8 @@ Arg::value(std::string_view name, std::string &out) const
     const std::optional<std::string_view> v = valueOf(name);
     if (!v)
         return false;
+    if (v->empty())
+        throw UsageError("empty --" + std::string(name) + " value");
     out = *v;
     return true;
 }

@@ -3,7 +3,8 @@
  * The one command-line flag parser, shared by the `beethoven` tool's
  * subcommands and the bench binaries. A flag is `--name` or
  * `--name=value`; counts are read strictly (see parseCount), so a
- * malformed number is a usage error instead of a silent zero.
+ * malformed number is a usage error instead of a silent zero, and an
+ * empty value is a usage error instead of a silently dropped option.
  */
 
 #ifndef BEETHOVEN_BASE_ARGS_H
@@ -44,7 +45,10 @@ class Arg
     /** True for exactly `--name`. */
     bool flag(std::string_view name) const;
 
-    /** True for `--name=VALUE`; VALUE (possibly empty) goes to @p out. */
+    /**
+     * True for `--name=VALUE`; VALUE goes to @p out.
+     * @throws UsageError when VALUE is empty (`--name=`).
+     */
     bool value(std::string_view name, std::string &out) const;
 
     /**

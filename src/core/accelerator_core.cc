@@ -13,6 +13,7 @@ AcceleratorCore::AcceleratorCore(const CoreContext &ctx)
                      "core %s constructed without a system config",
                      name().c_str());
     declareRole("core");
+    declareSleepable();
     for (u32 id = 0; id < _ctx.systemConfig->commands.size(); ++id) {
         _assemblers.emplace(
             id, CommandAssembler(_ctx.systemConfig->commands[id]));
@@ -100,6 +101,20 @@ AcceleratorCore::pollCommand()
     if (sim().trace() != nullptr)
         _execStart[cmd.rd] = sim().cycle();
     return cmd;
+}
+
+std::optional<DecodedCommand>
+AcceleratorCore::acceptCommand(bool launch_ready, StallClass waiting)
+{
+    if (launch_ready) {
+        if (auto cmd = pollCommand())
+            return cmd;
+    }
+    if (waiting != StallClass::Idle)
+        accountCycle(waiting);
+    if (_ctx.cmdIn != nullptr && !_ctx.cmdIn->canPop())
+        sleepWith(_stall, waiting); // woken by the next command push
+    return std::nullopt;
 }
 
 bool

@@ -13,7 +13,9 @@
  * Command delivery: RoCC beats arrive on the command queue; the base
  * class assembles multi-beat payloads per the System's CommandSpecs
  * and exposes completed commands through pollCommand(). Responses are
- * sent with respond().
+ * sent with respond(). A core waiting for work takes its commands
+ * through acceptCommand(), which lets it sleep until the next command
+ * beat arrives (the SoC arms the command queue's push wake).
  */
 
 #ifndef BEETHOVEN_CORE_ACCELERATOR_CORE_H
@@ -97,6 +99,19 @@ class AcceleratorCore : public Module
      * consumed across calls; a command is returned exactly once.
      */
     std::optional<DecodedCommand> pollCommand();
+
+    /**
+     * The idle handshake of a core waiting for a command. When
+     * @p launch_ready (every port the core pushes to on accepting a
+     * command can take the push) it returns the next completed command,
+     * as pollCommand() does; otherwise it pops nothing, so a command is
+     * never consumed before it can start. A cycle without a command is
+     * accounted as @p waiting (Idle is left to the lazy backfill), and
+     * when no command beat is poppable the core sleeps until the next
+     * push, its slept cycles backfilled as @p waiting.
+     */
+    std::optional<DecodedCommand> acceptCommand(bool launch_ready,
+                                                StallClass waiting);
 
     /**
      * Send a completion/response for @p cmd. @return false when the

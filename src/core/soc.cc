@@ -808,6 +808,8 @@ AcceleratorSoc::buildCores()
         beethoven_assert(_cores.back() != nullptr,
                          "module constructor for %s returned null",
                          ctx.name.c_str());
+        // Cores sleep while waiting for a command (acceptCommand).
+        ctx.cmdIn->setWakeOnPush(_cores.back().get());
     }
 }
 

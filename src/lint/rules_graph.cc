@@ -84,7 +84,7 @@ ruleWakeReachability(const SimGraph &g, const CompositionModel *,
 {
     for (std::size_t i = 0; i < g.modules.size(); ++i) {
         const GraphModule &m = g.modules[i];
-        if (!m.sleepable || m.selfWake)
+        if (!m.sleepable || m.selfWake || m.traceWake)
             continue;
         bool reachable = false;
         for (const GraphEdge &e : g.edges) {

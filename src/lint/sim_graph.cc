@@ -26,6 +26,7 @@ buildSimGraph(const Simulator &sim)
         m.sleepSite = info.sleepSite;
         m.selfWake = info.selfWake;
         m.selfWakeSite = info.selfWakeSite;
+        m.traceWake = info.traceWake;
         g.modules.push_back(std::move(m));
     }
 

@@ -67,6 +67,7 @@ struct GraphModule
     Site sleepSite;
     bool selfWake = false;
     Site selfWakeSite;
+    bool traceWake = false; ///< woken by Simulator::attachTrace
 };
 
 /** One TimedQueue: producer -> consumer with its wake wiring. */

@@ -13,12 +13,16 @@ HostInterface::HostInterface(Simulator &sim, std::string name,
       _mmio(mmio),
       _mem(mem),
       _platform(platform)
-{}
+{
+    declareSleepable();
+    declareSelfWake();
+}
 
 void
 HostInterface::enqueue(HostOp op)
 {
     _queue.push_back(std::move(op));
+    sim().wakeNow(this);
 }
 
 Cycle
@@ -65,24 +69,28 @@ HostInterface::perform(HostOp &op)
 void
 HostInterface::tick()
 {
+    // An operation completes on its last latency cycle, and the next
+    // one starts on the following tick (never the same one).
     if (_inFlight) {
-        ++_busyCycles;
         if (sim().cycle() + 1 >= _completesAt) {
             perform(_current);
             _inFlight = false;
         }
-        return;
+    } else if (!_queue.empty()) {
+        _current = std::move(_queue.front());
+        _queue.pop_front();
+        _inFlight = true;
+        _completesAt = sim().cycle() + costOf(_current);
+        if (sim().cycle() + 1 >= _completesAt) {
+            perform(_current);
+            _inFlight = false;
+        }
     }
-    if (_queue.empty())
-        return;
-    _current = std::move(_queue.front());
-    _queue.pop_front();
-    _inFlight = true;
-    _completesAt = sim().cycle() + costOf(_current);
-    ++_busyCycles;
-    if (sim().cycle() + 1 >= _completesAt) {
-        perform(_current);
-        _inFlight = false;
+    if (_inFlight) {
+        requestWakeAt(_completesAt - 1);
+        requestSleep();
+    } else if (_queue.empty()) {
+        requestSleep(); // enqueue wakes it
     }
 }
 

@@ -9,6 +9,10 @@
  * runtime-server arbitration point the paper describes in
  * Section II-C1 — command dispatch and response polling for all cores
  * contend here, which produces the ideal-vs-measured gap of Fig. 6.
+ *
+ * The link sleeps while its queue is empty and through each
+ * operation's latency (a self-armed wake for the completing tick), so
+ * a long DMA costs no host time per modeled cycle.
  */
 
 #ifndef BEETHOVEN_RUNTIME_HOST_INTERFACE_H
@@ -48,7 +52,10 @@ class HostInterface : public Module
                   MmioCommandSystem &mmio, FunctionalMemory &mem,
                   const Platform &platform);
 
-    /** Queue an operation; completes after its modeled latency. */
+    /**
+     * Queue an operation and wake the link; the operation completes
+     * after its modeled latency.
+     */
     void enqueue(HostOp op);
 
     bool idle() const { return !_inFlight && _queue.empty(); }
@@ -56,9 +63,6 @@ class HostInterface : public Module
     {
         return _queue.size() + (_inFlight ? 1 : 0);
     }
-
-    /** Total cycles the link spent busy (for utilization stats). */
-    u64 busyCycles() const { return _busyCycles; }
 
     void tick() override;
 
@@ -74,7 +78,6 @@ class HostInterface : public Module
     bool _inFlight = false;
     HostOp _current;
     Cycle _completesAt = 0;
-    u64 _busyCycles = 0;
 };
 
 } // namespace beethoven

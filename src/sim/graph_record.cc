@@ -124,6 +124,12 @@ SimGraphRecord::setSelfWake(Module *m, SourceSite site)
 }
 
 void
+SimGraphRecord::setTraceWake(Module *m)
+{
+    infoFor(m).traceWake = true;
+}
+
+void
 SimGraphRecord::registerQueue(const void *q, std::size_t capacity,
                               unsigned latency, SourceSite site)
 {

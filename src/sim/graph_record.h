@@ -99,12 +99,14 @@ class SimGraphRecord
         SourceSite sleepSite;
         bool selfWake = false;
         SourceSite selfWakeSite;
+        bool traceWake = false; ///< woken by Simulator::attachTrace
     };
 
     void noteModule(Module *m);
     void setRole(Module *m, const char *role);
     void setSleepable(Module *m, SourceSite site);
     void setSelfWake(Module *m, SourceSite site);
+    void setTraceWake(Module *m);
 
     void registerQueue(const void *q, std::size_t capacity,
                        unsigned latency, SourceSite site);

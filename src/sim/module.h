@@ -71,7 +71,7 @@ class Module
     std::size_t index() const { return _index; }
 
     /** False while quiescent under the event kernel. */
-    bool awake() const { return _awake; }
+    bool awake() const;
 
   protected:
     /**
@@ -113,6 +113,13 @@ class Module
         std::source_location loc = std::source_location::current());
 
     /**
+     * Declare that this module sleeps while no TraceSink is attached:
+     * Simulator::attachTrace wakes it, which the analyzer counts as a
+     * wake source (BTH102). Call once from the constructor.
+     */
+    void declareTraceWake();
+
+    /**
      * Name this module's structural role ("reader", "noc-mux", ...)
      * for the analyzer's census against the composition model
      * (BTH106). Undeclared modules keep the ignored default "module".
@@ -125,7 +132,6 @@ class Module
     Simulator &_sim;
     std::string _name;
     std::size_t _index = 0;
-    bool _awake = true;
     /** Dedup guard: last wheel cycle a wake was armed for (0 = none). */
     Cycle _lastScheduledWake = 0;
     bool _sleepDeclared = false;

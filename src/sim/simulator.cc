@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <bit>
 #include <iostream>
 
 #include "base/log.h"
@@ -88,6 +89,19 @@ Module::declareSelfWake(std::source_location loc)
 }
 
 void
+Module::declareTraceWake()
+{
+    _sim.addTraceWake(this);
+    _sim.graphRecord().setTraceWake(this);
+}
+
+bool
+Module::awake() const
+{
+    return _sim.isAwake(_index);
+}
+
+void
 Module::declareRole(const char *role)
 {
     _sim.graphRecord().setRole(this, role);
@@ -114,15 +128,25 @@ Simulator::setKernel(SimKernel k)
     // under the tick kernel sleep requests are ignored, so every module
     // stays awake and ticks every cycle. Stale wheel entries from an
     // earlier event phase only cause spurious wakes.
-    for (Module *m : _modules)
-        m->_awake = true;
+    for (std::size_t i = 0; i < _modules.size(); ++i)
+        markAwake(i);
     _dirtyCommits.clear();
+}
+
+void
+Simulator::attachTrace(TraceSink *sink)
+{
+    _trace = sink;
+    if (sink != nullptr) {
+        for (Module *m : _traceWakes)
+            wakeNow(m);
+    }
 }
 
 void
 Simulator::wakeNow(Module *m)
 {
-    if (_kernel == SimKernel::Tick || m->_awake)
+    if (_kernel == SimKernel::Tick || isAwake(m->_index))
         return;
     if (_inTickPhase && m->_index <= _cursor) {
         // The module already ticked this cycle (or is mid-tick): the
@@ -130,7 +154,7 @@ Simulator::wakeNow(Module *m)
         // next cycle, so defer the wake to the wheel.
         scheduleWake(m, _cycle + 1);
     } else {
-        m->_awake = true;
+        markAwake(m->_index);
     }
 }
 
@@ -164,17 +188,15 @@ std::size_t
 Simulator::activeModules() const
 {
     std::size_t n = 0;
-    for (const Module *m : _modules)
-        n += m->_awake ? 1 : 0;
+    for (const u64 word : _awakeBits)
+        n += static_cast<std::size_t>(std::popcount(word));
     return n;
 }
 
-// Cache-line aligned: on an idle SoC (a DMA wait steps hundreds of
-// sleeping modules per cycle) the awake-module loop below is nearly the
-// whole cycle cost, and where that loop fell against a 64-byte line
-// moved the perfbench nw_dispatch input-DMA time by ~14% (Release,
-// 4-vCPU Xeon) whenever unrelated code linked ahead of it grew or
-// shrank.
+// Cache-line aligned: where the awake-module loop below fell against a
+// 64-byte line once moved the perfbench nw_dispatch input-DMA time by
+// ~14% (Release, 4-vCPU Xeon) whenever unrelated code linked ahead of
+// it grew or shrank.
 template <bool Timed>
 __attribute__((aligned(64))) void
 Simulator::stepPhases()
@@ -193,22 +215,29 @@ Simulator::stepPhases()
     }
     const bool event = _kernel == SimKernel::Event;
     if (event)
-        _wheel.drain(_cycle, [](Module *m) { m->_awake = true; });
+        _wheel.drain(_cycle, [this](Module *m) { markAwake(m->_index); });
     if constexpr (Timed)
         t_prev = hostNowNs();
     _inTickPhase = true;
     u64 ticks = 0;
-    for (std::size_t i = 0; i < _modules.size(); ++i) {
-        Module *m = _modules[i];
-        if (!m->_awake)
-            continue;
-        _cursor = i;
-        m->tick();
-        ++ticks;
-        if constexpr (Timed) {
-            const u64 t_now = hostNowNs();
-            _hostProf->add(_profIds[i], t_now - t_prev);
-            t_prev = t_now;
+    // Walk the awake bitmap in index order. A tick may wake a later
+    // module in place (wakeNow) or put one to sleep, so after each tick
+    // the rest of the current word is re-read above the cursor; later
+    // words are read when the walk reaches them.
+    for (std::size_t w = 0; w < _awakeBits.size(); ++w) {
+        u64 bits = _awakeBits[w];
+        while (bits != 0) {
+            const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+            const std::size_t i = w * 64 + b;
+            _cursor = i;
+            _modules[i]->tick();
+            ++ticks;
+            if constexpr (Timed) {
+                const u64 t_now = hostNowNs();
+                _hostProf->add(_profIds[i], t_now - t_prev);
+                t_prev = t_now;
+            }
+            bits = _awakeBits[w] & ~(~u64(0) >> (63 - b));
         }
     }
     _inTickPhase = false;

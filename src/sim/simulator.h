@@ -92,6 +92,9 @@ class Simulator
     {
         m->_index = _modules.size();
         _modules.push_back(m);
+        if (m->_index % 64 == 0)
+            _awakeBits.push_back(0);
+        markAwake(m->_index); // every module starts awake
         _graph.noteModule(m);
     }
 
@@ -170,7 +173,18 @@ class Simulator
     void wakeAt(Module *m, Cycle at);
 
     /** Mark @p m quiescent (the Module::requestSleep back end). */
-    void sleepModule(Module *m) { m->_awake = false; }
+    void
+    sleepModule(Module *m)
+    {
+        _awakeBits[m->_index / 64] &= ~(u64(1) << (m->_index % 64));
+    }
+
+    /** True while the module at registration index @p i is awake. */
+    bool
+    isAwake(std::size_t i) const
+    {
+        return (_awakeBits[i / 64] >> (i % 64)) & 1;
+    }
 
     /**
      * Note that @p c staged state this cycle; the event kernel commits
@@ -284,7 +298,15 @@ class Simulator
      * and must outlive its attachment.
      */
     TraceSink *trace() const { return _trace; }
-    void attachTrace(TraceSink *sink) { _trace = sink; }
+
+    /**
+     * Attach (or detach, with nullptr) the event sink. Attaching wakes
+     * every module that declared a trace wake (Module::declareTraceWake).
+     */
+    void attachTrace(TraceSink *sink);
+
+    /** Wake @p m whenever a sink is attached (declareTraceWake). */
+    void addTraceWake(Module *m) { _traceWakes.push_back(m); }
 
     /**
      * Attached host profiler, or nullptr (the default). When attached,
@@ -335,9 +357,21 @@ class Simulator
     /** Wheel-arm a wake with dedup and planted-fault accounting. */
     void scheduleWake(Module *m, Cycle at);
 
+    void
+    markAwake(std::size_t i)
+    {
+        _awakeBits[i / 64] |= u64(1) << (i % 64);
+    }
+
     Cycle _cycle = 0;
     SimKernel _kernel = SimKernel::Tick;
     std::vector<Module *> _modules;
+    /**
+     * The active set: bit i % 64 of word i / 64 is set while the module
+     * with registration index i is awake. The only record of who is
+     * awake; the step loop walks it in index (= tick) order.
+     */
+    std::vector<u64> _awakeBits;
     std::vector<Committable *> _commits;
     WakeWheel _wheel;
     std::vector<Committable *> _dirtyCommits;
@@ -361,6 +395,8 @@ class Simulator
     std::vector<Invariant *> _invariants;
 
     std::vector<std::function<void()>> _statFolders;
+    /** Modules woken by attachTrace (declareTraceWake). */
+    std::vector<Module *> _traceWakes;
 
     /**
      * Registration-time metadata for the static analyzer; cold after

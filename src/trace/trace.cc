@@ -280,6 +280,8 @@ TraceProbe::TraceProbe(Simulator &sim, std::string name, Cycle period)
     : Module(sim, std::move(name)), _period(std::max<Cycle>(1, period))
 {
     declareRole("probe");
+    declareSleepable();
+    declareTraceWake();
 }
 
 void
@@ -302,8 +304,10 @@ void
 TraceProbe::tick()
 {
     TraceSink *ts = sim().trace();
-    if (ts == nullptr)
+    if (ts == nullptr) {
+        requestSleep(); // Simulator::attachTrace wakes it
         return;
+    }
     const Cycle now = sim().cycle();
     for (BusyTrack &b : _busy) {
         const std::size_t occ = b.occupancy();

@@ -137,8 +137,8 @@ class TraceSink
  * A Module that feeds a Simulator's attached TraceSink with periodic
  * counter samples and busy-interval spans from registered occupancy
  * hooks (type-erased, so templated NoC trees can register without the
- * probe knowing their flit types). Does nothing — beyond one branch
- * per cycle — when no sink is attached.
+ * probe knowing their flit types). Sleeps while no sink is attached;
+ * attaching one wakes it.
  */
 class TraceProbe : public Module
 {

@@ -2,11 +2,14 @@
  * @file
  * The per-cycle path is allocation-free: once a pipeline is warm, its
  * queues, flits and transaction state reuse fixed storage, so stepping
- * it makes no heap allocation at all. Counted with the process-wide
+ * it makes no heap allocation at all, and the event kernel's wake wheel
+ * allocates nothing after construction. Counted with the process-wide
  * operator new counters (perf/kpi.h).
  */
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "dram/controller.h"
 #include "mem/reader.h"
@@ -143,6 +146,51 @@ TEST(AllocFree, ReaderDramWriterStream)
         << "the stream must actually move data";
     EXPECT_LT(pump.words * rp.dataBytes, len)
         << "the stream must still be running at the end of the window";
+}
+
+/**
+ * Sleeps until a self-armed wake @p period cycles out, every time. A
+ * group sharing one period wakes together, more of them than one wheel
+ * slot holds.
+ */
+struct Beacon : Module
+{
+    Cycle period;
+    u64 ticks = 0;
+
+    Beacon(Simulator &s, Cycle p) : Module(s, "beacon"), period(p)
+    {
+        declareSleepable();
+        declareSelfWake();
+    }
+
+    void
+    tick() override
+    {
+        ++ticks;
+        requestWakeAt(sim().cycle() + period);
+        requestSleep();
+    }
+};
+
+TEST(AllocFree, WakeWheelScheduleDrain)
+{
+    // Near wakes (ring slots, 20 of them per slot so some spill into
+    // the heap) and far ones (past the 1,024-cycle ring), through the
+    // awake bitmap, with no warm-up: the wheel and the bitmap are sized
+    // when they are built.
+    Simulator sim;
+    std::vector<std::unique_ptr<Beacon>> beacons;
+    for (const Cycle period : {1, 3, 7, 1000, 1500, 5000})
+        beacons.push_back(std::make_unique<Beacon>(sim, period));
+    for (int i = 0; i < 20; ++i)
+        beacons.push_back(std::make_unique<Beacon>(sim, 16));
+    sim.setKernel(SimKernel::Event);
+
+    constexpr Cycle cycles = 10'000;
+    EXPECT_EQ(allocsOver(sim, cycles), 0u);
+    for (const auto &b : beacons)
+        EXPECT_EQ(b->ticks, (cycles - 1) / b->period + 1) << b->period;
 }
 
 } // namespace

@@ -150,6 +150,16 @@ TEST(GraphRules, Bth102SilentWithPushWakePopWakeOrSelfWake)
         g.modules = {m};
         return checkGraph(g).has("BTH102");
     }());
+    // Trace wake (the NoC probe, woken by Simulator::attachTrace).
+    EXPECT_FALSE([] {
+        SimGraph g;
+        GraphModule m;
+        m.name = "probe";
+        m.sleepable = true;
+        m.traceWake = true;
+        g.modules = {m};
+        return checkGraph(g).has("BTH102");
+    }());
 }
 
 // --- BTH103: self-wake declared without a sleep site ---------------

@@ -39,8 +39,8 @@ TEST(Args, MatchesFlagsAndValuesByExactName)
 
     EXPECT_TRUE(Arg("--trace=t.json").value("trace", v));
     EXPECT_EQ(v, "t.json");
-    EXPECT_TRUE(Arg("--trace=").value("trace", v));
-    EXPECT_EQ(v, "");
+    EXPECT_THROW(Arg("--trace=").value("trace", v), UsageError);
+    EXPECT_EQ(v, "t.json");
     EXPECT_FALSE(Arg("--trace").value("trace", v));
     EXPECT_FALSE(Arg("--tracex=1").value("trace", v));
     EXPECT_FALSE(Arg("--tra=1").value("trace", v));

@@ -2,7 +2,8 @@
  * @file
  * Tests for the AcceleratorCore API surface: accessor error messages,
  * response plumbing, command dispatch across multiple command IDs and
- * multiple systems sharing the fabric.
+ * multiple systems sharing the fabric, and commands held back while a
+ * launch port is full.
  */
 
 #include <gtest/gtest.h>
@@ -188,6 +189,97 @@ TEST(CoreApi, ResponsesCarry64BitPayloads)
     fpga_handle_t handle(server);
     const u64 big = 0xFFFFFFFF00000001ull;
     EXPECT_EQ(handle.invoke("Two", "xor3", 0, {big, 0, 0}).get(), big);
+}
+
+/**
+ * A launch port the test holds full: pops only while open, recording
+ * what it pops.
+ */
+struct LaunchGate : Module
+{
+    TimedQueue<u64> port;
+    bool open = false;
+    std::vector<u64> launched;
+
+    explicit LaunchGate(Simulator &sim)
+        : Module(sim, "gate"), port(sim, /*capacity=*/1)
+    {}
+
+    void
+    tick() override
+    {
+        if (open && port.canPop())
+            launched.push_back(port.pop());
+    }
+};
+
+/** Launches each command's value into the gate, then responds. */
+class GatedCore : public AcceleratorCore
+{
+  public:
+    explicit GatedCore(const CoreContext &ctx)
+        : AcceleratorCore(ctx), gate(*ctx.sim)
+    {}
+
+    void
+    tick() override
+    {
+        if (_respond) {
+            if (respond(_cmd, _cmd.args[0]))
+                _respond = false;
+            return;
+        }
+        auto cmd = acceptCommand(gate.port.canPush(), StallClass::Idle);
+        if (!cmd)
+            return;
+        _cmd = *cmd;
+        gate.port.push(cmd->args[0]);
+        ++accepted;
+        _respond = true;
+    }
+
+    LaunchGate gate;
+    unsigned accepted = 0;
+
+  private:
+    DecodedCommand _cmd;
+    bool _respond = false;
+};
+
+TEST(CoreApi, CommandWaitsForAFullLaunchPort)
+{
+    // A command that arrives while the core's launch port is full must
+    // stay queued, not be popped and dropped, and run once the port
+    // frees, under either kernel.
+    for (const SimKernel kernel : {SimKernel::Tick, SimKernel::Event}) {
+        SimulationPlatform platform;
+        AcceleratorSystemConfig sys;
+        sys.name = "Gated";
+        sys.nCores = 1;
+        sys.moduleConstructor = [](const CoreContext &ctx) {
+            return std::make_unique<GatedCore>(ctx);
+        };
+        sys.commands.push_back(
+            CommandSpec("go", {CommandField::uint("v", 32)}, 64));
+        AcceleratorSoc soc(AcceleratorConfig(sys), platform);
+        soc.sim().setKernel(kernel);
+        RuntimeServer server(soc);
+        fpga_handle_t handle(server);
+        auto &core = dynamic_cast<GatedCore &>(soc.core("Gated", 0));
+
+        // The first command fills the closed gate's only slot.
+        EXPECT_EQ(handle.invoke("Gated", "go", 0, {1}).get(), 1u);
+        auto second = handle.invoke("Gated", "go", 0, {2});
+        soc.sim().run(2000);
+        EXPECT_EQ(core.accepted, 1u) << simKernelName(kernel);
+        EXPECT_FALSE(second.try_get().has_value());
+
+        core.gate.open = true;
+        EXPECT_EQ(second.get(), 2u) << simKernelName(kernel);
+        EXPECT_EQ(core.accepted, 2u);
+        soc.sim().run(10);
+        EXPECT_EQ(core.gate.launched, (std::vector<u64>{1, 2}));
+    }
 }
 
 } // namespace

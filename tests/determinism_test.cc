@@ -18,14 +18,17 @@
 #include <string>
 
 #include "accel/machsuite/gemm.h"
+#include "accel/machsuite/nw.h"
 #include "accel/memcpy_core.h"
 #include "accel/vecadd.h"
 #include "base/rng.h"
 #include "baselines/machsuite_golden.h"
+#include "platform/aws_f1.h"
 #include "platform/sim_platform.h"
 #include "power/power.h"
 #include "runtime/fpga_handle.h"
 #include "sim/simulator.h"
+#include "trace/stall.h"
 #include "verify/fuzz.h"
 #include "verify/random_soc.h"
 #include "verify/traffic.h"
@@ -162,6 +165,53 @@ gemmDigest(SimKernel kernel)
     return digestOf(soc);
 }
 
+/** Run two MachSuite NW alignments on two cores under @p kernel. */
+RunDigest
+nwDigest(SimKernel kernel)
+{
+    using machsuite::NwCore;
+    SimulationPlatform platform;
+    AcceleratorConfig cfg(NwCore::systemConfig(2));
+    AcceleratorSoc soc(std::move(cfg), platform);
+    soc.sim().setKernel(kernel);
+    RuntimeServer server(soc);
+    fpga_handle_t handle(server);
+
+    const unsigned n = 32;
+    Rng rng(n);
+    std::vector<response_handle<u64>> handles;
+    std::vector<remote_ptr> outs;
+    std::vector<std::vector<i32>> goldens;
+    for (u32 core = 0; core < 2; ++core) {
+        std::vector<u8> a(n), b(n);
+        for (auto &ch : a)
+            ch = static_cast<u8>("ACGT"[rng.nextBounded(4)]);
+        for (auto &ch : b)
+            ch = static_cast<u8>("ACGT"[rng.nextBounded(4)]);
+        remote_ptr a_mem = handle.malloc(n);
+        remote_ptr b_mem = handle.malloc(n);
+        outs.push_back(handle.malloc((n + 1) * 4));
+        std::memcpy(a_mem.getHostAddr(), a.data(), n);
+        std::memcpy(b_mem.getHostAddr(), b.data(), n);
+        handle.copy_to_fpga(a_mem);
+        handle.copy_to_fpga(b_mem);
+        handles.push_back(handle.invoke(
+            "NwSystem", "nw", core,
+            {a_mem.getFpgaAddr(), b_mem.getFpgaAddr(),
+             outs.back().getFpgaAddr(), n}));
+        goldens.push_back(machsuite::goldenNw(a, b, n));
+    }
+    for (auto &h : handles)
+        h.get();
+    for (u32 core = 0; core < 2; ++core) {
+        handle.copy_from_fpga(outs[core]);
+        const i32 *out = outs[core].as<i32>();
+        for (unsigned j = 0; j <= n; ++j)
+            EXPECT_EQ(out[j], goldens[core][j]) << "core=" << core;
+    }
+    return digestOf(soc);
+}
+
 TEST(Determinism, IdenticalSeedGivesIdenticalStatsDigest)
 {
     const RunDigest first = vecAddDigest(0xD5EED, SimKernel::Tick);
@@ -244,6 +294,60 @@ TEST(CrossKernel, MachSuiteGemmBitIdentical)
     const RunDigest tick = gemmDigest(SimKernel::Tick);
     expectKernelsAgree(tick, gemmDigest(SimKernel::Event),
                        "gemm event");
+}
+
+TEST(CrossKernel, MachSuiteNwBitIdentical)
+{
+    const RunDigest tick = nwDigest(SimKernel::Tick);
+    expectKernelsAgree(tick, nwDigest(SimKernel::Event), "nw event");
+}
+
+TEST(CrossKernel, IdleDmaWaitTicksBelowOnePerCycle)
+{
+    // While the host link moves a long input DMA, nothing on the SoC
+    // has work: cores wait for commands, the link sleeps through the
+    // transfer's latency, the NoC probe has no sink, and only the DRAM
+    // controller's self-armed refresh wakes tick. Counting module
+    // ticks makes this a deterministic gate on the cost of idle cycles.
+    using machsuite::NwCore;
+    AwsF1Platform platform;
+    const unsigned cores = 8;
+    AcceleratorSoc soc(AcceleratorConfig(NwCore::systemConfig(cores)),
+                       platform);
+    RuntimeServer server(soc);
+    soc.sim().setKernel(SimKernel::Event);
+    fpga_handle_t handle(server);
+
+    // A first short transfer lets every module reach quiescence.
+    handle.copy_to_fpga(handle.malloc(256));
+    remote_ptr big = handle.malloc(1_MiB);
+    const Cycle c0 = soc.sim().cycle();
+    const u64 t0 = globalModuleTicks();
+    handle.copy_to_fpga(big);
+    const Cycle cycles = soc.sim().cycle() - c0;
+    const u64 ticks = globalModuleTicks() - t0;
+    EXPECT_GT(cycles, 20'000u);
+    EXPECT_LT(ticks, cycles) << "module ticks per idle cycle must be < 1";
+
+    // With nothing queued on the link at all, the same holds.
+    const u64 t1 = globalModuleTicks();
+    soc.sim().run(20'000);
+    EXPECT_LT(globalModuleTicks() - t1, 20'000u);
+
+    // The slept cycles are still accounted: every core's classes sum
+    // to the elapsed cycles.
+    soc.sim().publishStallStats();
+    u64 core_cycles = 0;
+    for (u32 c = 0; c < cores; ++c) {
+        const std::string &name = soc.core("NwSystem", c).name();
+        for (const StallAccount *a : soc.sim().stallAccounts()) {
+            if (a->name() != name)
+                continue;
+            for (std::size_t k = 0; k < kNumStallClasses; ++k)
+                core_cycles += a->count(static_cast<StallClass>(k));
+        }
+    }
+    EXPECT_EQ(core_cycles, u64(cores) * soc.sim().cycle());
 }
 
 TEST(CrossKernel, EventKernelFuzzReplayDeterministic)

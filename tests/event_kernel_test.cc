@@ -4,12 +4,14 @@
  * overflow heap, modulo aliasing), the queue wake/re-arm contract under
  * both registration orders, self-scheduled wakes out of full
  * quiescence, the watchdog's interaction with an emptied active set,
- * and stall conservation when slept gaps are backfilled with the
- * class the module went quiescent in.
+ * stall conservation when slept gaps are backfilled with the class the
+ * module went quiescent in, and the awake bitmap's tick order.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -75,6 +77,32 @@ TEST(WakeWheel, HeapHoldsMultipleRevolutions)
     ASSERT_EQ(delivered.size(), 2u);
     EXPECT_EQ(delivered[0], (std::pair<Cycle, Module *>{5, &a}));
     EXPECT_EQ(delivered[1], (std::pair<Cycle, Module *>{9, &b}));
+}
+
+TEST(WakeWheel, FullSlotSpillsIntoHeap)
+{
+    Simulator sim;
+    Dummy a(sim, "a"), b(sim, "b");
+    WakeWheel wheel(/*slots=*/4);
+
+    // Three wakes more than a slot holds, all for cycle 2: the overflow
+    // spills into the heap. Every one is delivered at 2, ring entries
+    // first, and the neighbouring slot is untouched.
+    const std::size_t n = WakeWheel::kSlotCapacity + 3;
+    for (std::size_t i = 0; i < n; ++i)
+        wheel.schedule(0, 2, &a);
+    wheel.schedule(0, 3, &b);
+    EXPECT_EQ(wheel.pending(), n + 1);
+
+    std::vector<std::pair<Cycle, Module *>> delivered;
+    for (Cycle now = 1; now <= 4; ++now)
+        wheel.drain(now, [&](Module *m) { delivered.push_back({now, m}); });
+
+    ASSERT_EQ(delivered.size(), n + 1);
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(delivered[i], (std::pair<Cycle, Module *>{2, &a})) << i;
+    EXPECT_EQ(delivered[n], (std::pair<Cycle, Module *>{3, &b}));
+    EXPECT_EQ(wheel.pending(), 0u);
 }
 
 /** Pushes one token every @p period cycles, then sleeps in between. */
@@ -323,6 +351,117 @@ TEST(EventKernel, SleptGapBackfillsWithGapClass)
     for (std::size_t i = 0; i < kNumStallClasses; ++i)
         sum += w._stall.count(static_cast<StallClass>(i));
     EXPECT_EQ(sum, sim.cycle());
+}
+
+/**
+ * A sleeper with a mailbox: when a poke is waiting it logs
+ * (cycle, index) and pokes its successors through wakeNow, the way a
+ * queue push wakes its consumer. Under the tick kernel it ticks every
+ * cycle, so a poke to a later module is seen the same cycle and a poke
+ * to an earlier one (or itself) the next cycle; the event kernel must
+ * reproduce exactly that.
+ */
+class Cell : public Module
+{
+  public:
+    using Log = std::vector<std::pair<Cycle, std::size_t>>;
+
+    Cell(Simulator &sim, Log &log)
+        : Module(sim, "cell"), _log(log)
+    {
+        declareSleepable();
+    }
+
+    void
+    poke()
+    {
+        ++_pending;
+        sim().wakeNow(this);
+    }
+
+    void
+    tick() override
+    {
+        if (_pending > 0) {
+            _log.push_back({sim().cycle(), index()});
+            --_pending;
+            for (Cell *next : successors)
+                next->poke();
+        }
+        if (_pending == 0)
+            requestSleep();
+    }
+
+    std::vector<Cell *> successors;
+
+  private:
+    Log &_log;
+    unsigned _pending = 0;
+};
+
+TEST(EventKernel, AwakeBitmapKeepsTickOrder)
+{
+    // 130 modules span three bitmap words (0-63, 64-127, 128-129).
+    auto run = [](SimKernel kernel, u64 &ticks) {
+        Cell::Log log;
+        Simulator sim;
+        std::vector<std::unique_ptr<Cell>> cells;
+        for (int i = 0; i < 130; ++i)
+            cells.push_back(std::make_unique<Cell>(sim, log));
+        auto link = [&](std::size_t from, std::size_t to) {
+            cells[from]->successors.push_back(cells[to].get());
+        };
+        // Ahead of the cursor, in place: within word 0, onto its last
+        // bit, across the 63|64 and 127|128 boundaries, and to the
+        // last module.
+        link(1, 62);
+        link(62, 63);
+        link(63, 64);
+        link(64, 127);
+        link(127, 128);
+        link(128, 129);
+        // Behind the cursor: deferred to the next cycle.
+        link(129, 3);
+        link(3, 2);
+        // Self-poke: the next cycle, once per delivery.
+        link(100, 100);
+        sim.setKernel(kernel);
+        const u64 before = globalModuleTicks();
+        for (Cycle c = 0; c < 12; ++c) {
+            if (c == 2 || c == 7)
+                cells[1]->poke(); // between steps: woken in place
+            if (c == 4)
+                cells[100]->poke();
+            if (c == 7)
+                cells[64]->poke(); // a second chain through word 1
+            sim.step();
+            if (c == 5)
+                cells[100]->successors.clear(); // end the self loop
+        }
+        ticks = globalModuleTicks() - before;
+        return log;
+    };
+
+    u64 tick_ticks = 0, event_ticks = 0;
+    const Cell::Log tick_log = run(SimKernel::Tick, tick_ticks);
+    const Cell::Log event_log = run(SimKernel::Event, event_ticks);
+    EXPECT_EQ(event_log, tick_log);
+    EXPECT_EQ(tick_ticks, 130u * 12u);
+    EXPECT_LT(event_ticks, tick_ticks);
+
+    // The chain from cell 1 runs through all three words in cycle 2,
+    // then wraps behind the cursor one cycle at a time.
+    const Cell::Log chain = {{2, 1},  {2, 62},  {2, 63}, {2, 64},
+                             {2, 127}, {2, 128}, {2, 129}, {3, 3},
+                             {4, 2}};
+    ASSERT_GE(event_log.size(), chain.size());
+    EXPECT_TRUE(std::equal(chain.begin(), chain.end(), event_log.begin()));
+    // Cell 100's self-pokes land one cycle apart until the loop is cut.
+    Cell::Log self;
+    for (const auto &e : event_log)
+        if (e.second == 100)
+            self.push_back(e);
+    EXPECT_EQ(self, (Cell::Log{{4, 100}, {5, 100}, {6, 100}}));
 }
 
 TEST(EventKernel, PlantedLostWakeStallsTheConsumer)

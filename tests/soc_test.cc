@@ -275,5 +275,28 @@ TEST(Soc, TraceRecordsEndToEndCommandSpan)
     EXPECT_TRUE(sink.hasCategory("mem"));
 }
 
+TEST(Soc, AttachingATraceWakesTheNocProbe)
+{
+    // Under the event kernel the NoC probe sleeps while no sink is
+    // attached; attaching one mid-run must wake it, so the command's
+    // NoC traffic still lands in the trace as busy spans and counters.
+    SimulationPlatform platform;
+    AcceleratorSoc soc(AcceleratorConfig(minimalSystem()), platform);
+    soc.sim().setKernel(SimKernel::Event);
+    RuntimeServer server(soc);
+    fpga_handle_t handle(server);
+
+    remote_ptr mem = handle.malloc(1024);
+    handle.copy_to_fpga(mem);
+    soc.sim().run(100);
+
+    TraceSink sink;
+    soc.sim().attachTrace(&sink);
+    handle.invoke("Sys", "my_accel", 0, {1, mem.getFpgaAddr(), 256})
+        .get();
+    soc.sim().attachTrace(nullptr);
+    EXPECT_TRUE(sink.hasCategory("noc"));
+}
+
 } // namespace
 } // namespace beethoven

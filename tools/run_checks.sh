@@ -69,7 +69,7 @@ echo "== run_checks: 4/4 sanitize (ASan+UBSan smoke) =="
 san_dir="$repo_root/build-sanitize"
 if [ -f "$san_dir/CTestTestfile.cmake" ]; then
     (cd "$san_dir" &&
-        ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel|HostProfiler|RuntimeServer|Lint|GraphRules|SocAnalysis|Json|Args|StatGroup|TimedQueue|AllocFree' \
+        ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel|HostProfiler|RuntimeServer|Lint|GraphRules|SocAnalysis|Json|Args|StatGroup|TimedQueue|AllocFree|CoreApi' \
         --output-on-failure -j "$(nproc)") || fail sanitize
     "$san_dir/tools/beethoven" fuzz --differential --seed=1 \
         --iterations=3 || fail sanitize
