@@ -70,26 +70,47 @@ A3Core::systemConfig(unsigned n_cores, unsigned addr_bits)
     return sys;
 }
 
+bool
+A3Core::headCanLaunch() const
+{
+    const TimedQueue<RoccCommand> *cmds = context().cmdIn;
+    if (cmds == nullptr || !cmds->canPop())
+        return true; // nothing waiting
+    // A load re-initializes both scratchpads, an attend starts both
+    // streams; each waits for the previous one to finish and respond.
+    if (cmds->front().commandId() == 0) {
+        return !_loadPending && !_respLoadPending &&
+               _keys.initPort().canPush() && _values.initPort().canPush();
+    }
+    return !_attending && !_respPending &&
+           _queryReader.cmdPort().canPush() &&
+           _outWriter.cmdPort().canPush();
+}
+
 void
 A3Core::tick()
 {
-    // Accept commands.
-    if (auto cmd = pollCommand()) {
+    // Accept commands. A command waits at the head of the queue until
+    // it can launch; with nothing in flight the core sleeps until the
+    // next command beat.
+    const bool idle =
+        !_loadPending && !_respLoadPending && !_attending && !_respPending;
+    std::optional<DecodedCommand> cmd;
+    if (idle)
+        cmd = acceptCommand(headCanLaunch(), StallClass::Idle);
+    else if (headCanLaunch())
+        cmd = pollCommand();
+    if (cmd) {
         if (cmd->commandId == 0) {
             _loadCmd = *cmd;
             _nKeys = static_cast<unsigned>(cmd->args[argNKeys]);
             beethoven_assert(_nKeys >= 1 && _nKeys <= A3Params::maxKeys,
                              "a3: n_keys=%u out of range", _nKeys);
-            beethoven_assert(_keys.initPort().canPush() &&
-                                 _values.initPort().canPush(),
-                             "a3: init ports busy during load");
             _keys.initPort().push({cmd->args[argKeys], 0, _nKeys});
             _values.initPort().push({cmd->args[argValues], 0, _nKeys});
             _matricesLoaded = false;
             _loadPending = true;
         } else {
-            beethoven_assert(!_attending,
-                             "a3: attend while a batch is in flight");
             _attendCmd = *cmd;
             _nQueries =
                 static_cast<unsigned>(cmd->args[argNQueries]);
@@ -99,10 +120,6 @@ A3Core::tick()
             _queriesDone = 0;
             _lastStart = sim().cycle();
             if (_attending) {
-                beethoven_assert(
-                    _queryReader.cmdPort().canPush() &&
-                        _outWriter.cmdPort().canPush(),
-                    "a3: stream ports busy during attend");
                 _queryReader.cmdPort().push(
                     {_attendCmd.args[argQuery], u64(_nQueries) * 64});
                 _outWriter.cmdPort().push(

@@ -88,6 +88,9 @@ class A3Core : public AcceleratorCore
         u32 weightSum = 0;
     };
 
+    /** Whether the command at the head of the queue can start now
+     *  (true when none is waiting). */
+    bool headCanLaunch() const;
     void tickStage1();
     void tickStage2();
     void tickStage3();

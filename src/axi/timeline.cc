@@ -1,7 +1,6 @@
 #include "axi/timeline.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <sstream>
 
@@ -130,106 +129,152 @@ AxiTimeline::render(std::ostream &os, unsigned width) const
     }
 }
 
+AxiProtocolChecker::IdQueues &
+AxiProtocolChecker::queues(u32 id)
+{
+    auto it = std::lower_bound(
+        _ids.begin(), _ids.end(), id,
+        [](const IdQueues &q, u32 key) { return q.id < key; });
+    if (it == _ids.end() || it->id != id) {
+        it = _ids.insert(it, IdQueues{});
+        it->id = id;
+    }
+    return *it;
+}
+
+namespace
+{
+
+/** A violation message; only built when there is one. */
+template <typename... Parts>
+std::string
+describe(const Parts &...parts)
+{
+    std::ostringstream err;
+    (err << ... << parts);
+    return err.str();
+}
+
+} // namespace
+
+std::string
+AxiProtocolChecker::observe(const AxiEvent &e)
+{
+    ++_eventsSeen;
+
+    // ID-leak screen: transactions must use IDs the elaborator
+    // actually handed out.
+    const bool is_read =
+        e.channel == AxiChannel::AR || e.channel == AxiChannel::R;
+    if (is_read && _readIdBound != 0 && e.id >= _readIdBound) {
+        return describe(axiChannelName(e.channel), " uses read id ", e.id,
+                        " outside the allocated space [0, ", _readIdBound,
+                        ")");
+    }
+    if (!is_read && _writeIdBound != 0 && e.id >= _writeIdBound &&
+        e.channel != AxiChannel::W) {
+        // W beats are tag-matched, not ID-matched, but AW and B carry
+        // real bus IDs.
+        return describe(axiChannelName(e.channel), " uses write id ", e.id,
+                        " outside the allocated space [0, ", _writeIdBound,
+                        ")");
+    }
+
+    switch (e.channel) {
+      case AxiChannel::AR:
+        queues(e.id).reads.push({e.tag, e.beats});
+        ++_reads;
+        break;
+      case AxiChannel::AW:
+        queues(e.id).writes.push({e.tag, e.beats});
+        if (e.beats != 0)
+            _openWrites.push({e.tag, e.id, e.beats, 0});
+        ++_writes;
+        break;
+      case AxiChannel::R: {
+        Ring<Outstanding> &q = queues(e.id).reads;
+        if (q.empty()) {
+            return describe("R beat for id ", e.id,
+                            " with no outstanding read");
+        }
+        // Same-ID ordering: data must belong to the oldest txn.
+        Outstanding &head = q.front();
+        if (head.tag != e.tag) {
+            return describe("R beat tag ", e.tag, " on id ", e.id,
+                            " violates same-ID ordering (expected tag ",
+                            head.tag, ")");
+        }
+        ++head.beatsSeen;
+        const bool should_be_last = head.beatsSeen == head.beatsExpected;
+        if (e.last != should_be_last) {
+            return describe("R last flag mismatch on tag ", e.tag, " (beat ",
+                            head.beatsSeen, "/", head.beatsExpected, ")");
+        }
+        if (e.last) {
+            q.erase(0);
+            --_reads;
+        }
+        break;
+      }
+      case AxiChannel::W: {
+        // The oldest burst still taking data with this tag: the open
+        // one (the front) unless write data interleaves.
+        std::size_t i = 0;
+        while (i < _openWrites.size() && _openWrites.at(i).tag != e.tag)
+            ++i;
+        if (i == _openWrites.size()) {
+            return describe("W beat with tag ", e.tag,
+                            " matches no outstanding write");
+        }
+        OpenWrite &open = _openWrites.at(i);
+        ++open.beatsSeen;
+        const bool last = open.beatsSeen == open.beatsExpected;
+        if (e.last != last)
+            return describe("W last flag mismatch on tag ", e.tag);
+        if (last) {
+            // Its AW is the newest on the ID still waiting for data.
+            Ring<Outstanding> &q = queues(open.id).writes;
+            for (std::size_t k = q.size(); k-- != 0;) {
+                Outstanding &o = q.at(k);
+                if (o.tag == e.tag && !o.dataDone) {
+                    o.dataDone = true;
+                    break;
+                }
+            }
+            _openWrites.erase(i);
+        }
+        break;
+      }
+      case AxiChannel::B: {
+        Ring<Outstanding> &q = queues(e.id).writes;
+        if (q.empty()) {
+            return describe("B response for id ", e.id,
+                            " with no outstanding write");
+        }
+        if (q.front().tag != e.tag) {
+            return describe("B response tag ", e.tag, " on id ", e.id,
+                            " violates same-ID ordering");
+        }
+        if (!q.front().dataDone) {
+            return describe("B response before final W beat on tag ",
+                            e.tag);
+        }
+        q.erase(0);
+        --_writes;
+        break;
+      }
+    }
+    return "";
+}
+
 std::string
 checkAxiProtocol(const std::vector<AxiEvent> &events)
 {
-    struct Outstanding
-    {
-        u64 tag;
-        u32 beatsExpected;
-        u32 beatsSeen = 0;
-    };
-    // Per-ID FIFOs of outstanding transactions.
-    std::map<u32, std::deque<Outstanding>> reads, writes;
-    // Write bursts whose data is complete but B is pending.
-    std::map<u64, bool> writeDataDone;
-    std::ostringstream err;
-
-    for (const auto &e : events) {
-        switch (e.channel) {
-          case AxiChannel::AR:
-            reads[e.id].push_back({e.tag, e.beats});
-            break;
-          case AxiChannel::AW:
-            writes[e.id].push_back({e.tag, e.beats});
-            writeDataDone[e.tag] = false;
-            break;
-          case AxiChannel::R: {
-            auto &q = reads[e.id];
-            if (q.empty()) {
-                err << "R beat for id " << e.id
-                    << " with no outstanding read";
-                return err.str();
-            }
-            // Same-ID ordering: data must belong to the oldest txn.
-            Outstanding &head = q.front();
-            if (head.tag != e.tag) {
-                err << "R beat tag " << e.tag << " on id " << e.id
-                    << " violates same-ID ordering (expected tag "
-                    << head.tag << ")";
-                return err.str();
-            }
-            ++head.beatsSeen;
-            const bool should_be_last = head.beatsSeen == head.beatsExpected;
-            if (e.last != should_be_last) {
-                err << "R last flag mismatch on tag " << e.tag << " (beat "
-                    << head.beatsSeen << "/" << head.beatsExpected << ")";
-                return err.str();
-            }
-            if (e.last)
-                q.pop_front();
-            break;
-          }
-          case AxiChannel::W: {
-            // Find the oldest incomplete write burst with this tag.
-            bool found = false;
-            for (auto &[id, q] : writes) {
-                for (auto &o : q) {
-                    if (o.tag == e.tag && o.beatsSeen < o.beatsExpected) {
-                        ++o.beatsSeen;
-                        const bool last = o.beatsSeen == o.beatsExpected;
-                        if (e.last != last) {
-                            err << "W last flag mismatch on tag " << e.tag;
-                            return err.str();
-                        }
-                        if (last)
-                            writeDataDone[e.tag] = true;
-                        found = true;
-                        break;
-                    }
-                }
-                if (found)
-                    break;
-            }
-            if (!found) {
-                err << "W beat with tag " << e.tag
-                    << " matches no outstanding write";
-                return err.str();
-            }
-            break;
-          }
-          case AxiChannel::B: {
-            auto &q = writes[e.id];
-            if (q.empty()) {
-                err << "B response for id " << e.id
-                    << " with no outstanding write";
-                return err.str();
-            }
-            if (q.front().tag != e.tag) {
-                err << "B response tag " << e.tag << " on id " << e.id
-                    << " violates same-ID ordering";
-                return err.str();
-            }
-            auto it = writeDataDone.find(e.tag);
-            if (it == writeDataDone.end() || !it->second) {
-                err << "B response before final W beat on tag " << e.tag;
-                return err.str();
-            }
-            q.pop_front();
-            writeDataDone.erase(it);
-            break;
-          }
-        }
+    AxiProtocolChecker checker;
+    for (const AxiEvent &e : events) {
+        std::string err = checker.observe(e);
+        if (!err.empty())
+            return err;
     }
     return "";
 }

@@ -8,6 +8,7 @@
 #ifndef BEETHOVEN_AXI_TIMELINE_H
 #define BEETHOVEN_AXI_TIMELINE_H
 
+#include <algorithm>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -102,14 +103,127 @@ class AxiTimeline
 };
 
 /**
- * Validates an event stream against the AXI rules the framework relies
- * on. Returns an empty string when legal, else a description of the
- * first violation. Checked rules:
+ * Incremental AXI protocol checker, fed one event at a time so a
+ * violation surfaces at the event that makes it. Checked rules:
  *  - every R/W beat belongs to an outstanding transaction;
  *  - bursts deliver exactly the requested number of beats, with `last`
  *    on the final beat only;
  *  - transactions on the same ID complete in request order;
- *  - B responses only after the corresponding last W beat.
+ *  - B responses only after the corresponding last W beat;
+ *  - with setIdBounds(), AR/R/AW/B IDs stay inside the allocated space.
+ *
+ * Per-ID FIFOs are rings that keep their storage, so once every ID has
+ * been seen at its peak depth, checking allocates nothing. Messages are
+ * built only on a violation.
+ */
+class AxiProtocolChecker
+{
+  public:
+    /**
+     * Bound the legal ID space (0 = unchecked). IDs at or above the
+     * bound are reported as leaks: they would alias another endpoint's
+     * transactions on real hardware.
+     */
+    void
+    setIdBounds(u32 read_ids, u32 write_ids)
+    {
+        _readIdBound = read_ids;
+        _writeIdBound = write_ids;
+    }
+
+    /**
+     * Feed the next event. @return empty string if still legal, else
+     * a description of the violation (checker state is then stale;
+     * callers are expected to abort).
+     */
+    std::string observe(const AxiEvent &e);
+
+    /** True when no read or write transaction is outstanding. */
+    bool quiescent() const { return _reads == 0 && _writes == 0; }
+
+    std::size_t outstandingReads() const { return _reads; }
+    std::size_t outstandingWrites() const { return _writes; }
+    u64 eventsSeen() const { return _eventsSeen; }
+
+  private:
+    /** A FIFO that grows by doubling and never shrinks. */
+    template <typename T>
+    class Ring
+    {
+      public:
+        bool empty() const { return _size == 0; }
+        std::size_t size() const { return _size; }
+        /** The @p i-th oldest entry. */
+        T &at(std::size_t i) { return _buf[(_head + i) % _buf.size()]; }
+        T &front() { return at(0); }
+
+        void
+        push(const T &v)
+        {
+            if (_size == _buf.size()) {
+                std::vector<T> grown(std::max<std::size_t>(4, 2 * _size));
+                for (std::size_t i = 0; i < _size; ++i)
+                    grown[i] = at(i);
+                _buf.swap(grown);
+                _head = 0;
+            }
+            _buf[(_head + _size++) % _buf.size()] = v;
+        }
+
+        /** Remove the @p i-th oldest entry. */
+        void
+        erase(std::size_t i)
+        {
+            for (; i != 0; --i)
+                at(i) = at(i - 1);
+            _head = (_head + 1) % _buf.size();
+            --_size;
+        }
+
+      private:
+        std::vector<T> _buf;
+        std::size_t _head = 0;
+        std::size_t _size = 0;
+    };
+
+    struct Outstanding
+    {
+        u64 tag = 0;
+        u32 beatsExpected = 0;
+        u32 beatsSeen = 0;
+        bool dataDone = false; ///< writes: the last W beat arrived
+    };
+
+    /** Outstanding transactions of one AXI ID, oldest first. */
+    struct IdQueues
+    {
+        u32 id = 0;
+        Ring<Outstanding> reads;
+        Ring<Outstanding> writes;
+    };
+
+    /** A write burst still taking W beats, in AW order. */
+    struct OpenWrite
+    {
+        u64 tag = 0;
+        u32 id = 0;
+        u32 beatsExpected = 0;
+        u32 beatsSeen = 0;
+    };
+
+    /** The queues of @p id, created on first use. */
+    IdQueues &queues(u32 id);
+
+    std::vector<IdQueues> _ids; ///< sorted by ID
+    Ring<OpenWrite> _openWrites;
+    std::size_t _reads = 0, _writes = 0;
+    u32 _readIdBound = 0, _writeIdBound = 0;
+    u64 _eventsSeen = 0;
+};
+
+/**
+ * Validates a recorded event stream with AxiProtocolChecker. Returns an
+ * empty string when legal, else a description of the first violation.
  */
 std::string checkAxiProtocol(const std::vector<AxiEvent> &events);
 

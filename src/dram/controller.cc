@@ -1,6 +1,7 @@
 #include "dram/controller.h"
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 #include <type_traits>
 
@@ -9,6 +10,39 @@
 
 namespace beethoven
 {
+
+namespace
+{
+
+/** First beat at or after @p from whose bit in @p mask is clear, or
+ *  @p limit if there is none below it. */
+template <typename Mask>
+u32
+nextClear(const Mask &mask, u32 from, u32 limit)
+{
+    while (from < limit) {
+        const u64 free = ~mask[from / 64] >> (from % 64);
+        if (free != 0)
+            return std::min(from + static_cast<u32>(std::countr_zero(free)),
+                            limit);
+        from = (from / 64 + 1) * 64;
+    }
+    return limit;
+}
+
+/** Remove the head in @p heads that holds @p slot. */
+template <typename Heads>
+void
+eraseHead(Heads &heads, u32 slot)
+{
+    auto it = std::find_if(heads.begin(), heads.end(),
+                           [slot](const auto &h) { return h.slot == slot; });
+    beethoven_assert(it != heads.end(), "retiring a transaction that was "
+                                        "never a schedulable head");
+    heads.erase(it);
+}
+
+} // namespace
 
 DramController::DramController(Simulator &sim, std::string name,
                                const Config &cfg, FunctionalMemory &mem)
@@ -22,6 +56,13 @@ DramController::DramController(Simulator &sim, std::string name,
       _banks(cfg.geometry.numBanks()),
       _stall(sim, Module::name())
 {
+    // Bank sets are u64 masks and issue flags a 256-bit BeatMask.
+    beethoven_assert(cfg.geometry.numBanks() <= 64,
+                     "DRAM geometry has %u banks; at most 64 are modeled",
+                     cfg.geometry.numBanks());
+    beethoven_assert(cfg.axi.maxBurstBeats <= 64 * BeatMask{}.size(),
+                     "maxBurstBeats %u exceeds the AXI4 limit of 256",
+                     cfg.axi.maxBurstBeats);
     StatGroup &g = sim.stats().group(Module::name());
     _statRowHits = &g.scalar("rowHits");
     _statRowMisses = &g.scalar("rowMisses");
@@ -73,6 +114,8 @@ DramController::tick()
     const bool col = scheduleColumn();
     if (scheduleRowCommands())
         did = true;
+    if (col)
+        commitColumn();
     const ServiceResult rd = sendReadData();
     const ServiceResult wr = sendWriteResponses();
     if (col || rd == ServiceResult::Done || wr == ServiceResult::Done)
@@ -94,25 +137,20 @@ DramController::acceptRequests()
                          "illegal read burst length %u", req.beats);
         const u32 slot = _reads.acquire();
         ReadTxn &txn = _reads.slots[slot];
-        txn.seq = _seqCounter++;
-        txn.tag = req.tag;
-        txn.id = req.id;
-        txn.acceptedAt = now;
-        txn.addr = req.addr;
-        txn.beats = req.beats;
-        txn.beatsIssued = 0;
-        txn.firstUnissued = 0;
+        startTxn(txn, req.id, req.tag, req.addr, req.beats);
         txn.beatsSent = 0;
-        txn.issued.assign(req.beats, false);
         txn.beatReadyAt.assign(req.beats, 0);
         txn.beatData.resize(req.beats);
-        txn.beatCoord.resize(req.beats);
-        for (u32 b = 0; b < req.beats; ++b) {
-            txn.beatCoord[b] = mapAddress(
-                _cfg.geometry,
-                req.addr + static_cast<Addr>(b) * _cfg.axi.dataBytes);
+        IdState &ids = idState(_readIds, req.id);
+        ids.order.push_back(slot);
+        if (ids.order.size() == 1) {
+            // The newest transaction: it goes last in seq order. Its
+            // gate is long open (the ID's previous head issued after it
+            // opened, then retired).
+            beethoven_assert(now >= ids.readyAt, "recycle gate still set "
+                                                 "on an idle read ID");
+            addHead(_readHeads, makeHead(txn, slot));
         }
-        idState(_readIds, req.id).order.push_back(slot);
         _timeline.record({now, AxiChannel::AR, req.id, req.tag, req.addr,
                           req.beats, false});
         did = true;
@@ -123,23 +161,14 @@ DramController::acceptRequests()
         if (flit.hasHeader) {
             if (_writes.live >= _cfg.maxOutstandingWrites)
                 return did; // stall the W channel until a slot frees
+            beethoven_assert(flit.header.beats >= 1 &&
+                                 flit.header.beats <= _cfg.axi.maxBurstBeats,
+                             "illegal write burst length %u",
+                             flit.header.beats);
             const u32 slot = _writes.acquire();
             WriteTxn &txn = _writes.slots[slot];
-            txn.seq = _seqCounter++;
-            txn.tag = flit.header.tag;
-            txn.id = flit.header.id;
-            txn.acceptedAt = now;
-            txn.addr = flit.header.addr;
-            txn.beats = flit.header.beats;
-            txn.beatsIssued = 0;
-            txn.firstUnissued = 0;
-            txn.issued.assign(txn.beats, false);
-            txn.beatCoord.resize(txn.beats);
-            for (u32 b = 0; b < txn.beats; ++b) {
-                txn.beatCoord[b] = mapAddress(
-                    _cfg.geometry,
-                    txn.addr + static_cast<Addr>(b) * _cfg.axi.dataBytes);
-            }
+            startTxn(txn, flit.header.id, flit.header.tag, flit.header.addr,
+                     flit.header.beats);
             _timeline.record({now, AxiChannel::AW, txn.id, txn.tag,
                               txn.addr, txn.beats, false});
             // The header flit carries the first data beat.
@@ -153,7 +182,13 @@ DramController::acceptRequests()
             beethoven_assert(!complete || txn.beats == 1,
                              "write burst ended after 1/%u beats",
                              txn.beats);
-            idState(_writeIds, txn.id).order.push_back(slot);
+            IdState &ids = idState(_writeIds, txn.id);
+            ids.order.push_back(slot);
+            if (ids.order.size() == 1) {
+                beethoven_assert(now >= ids.readyAt, "recycle gate still "
+                                                     "set on an idle write ID");
+                addHead(_writeHeads, makeHead(txn, slot));
+            }
             _fillingWrite = slot;
             _hasFilling = !complete;
             _wIn.pop();
@@ -168,6 +203,7 @@ DramController::acceptRequests()
             txn.data.push_back(flit.beat);
             _wIn.pop();
             ++txn.beatsReceived;
+            refreshHead(_writes, _writeHeads, _fillingWrite);
             ++_pendingWriteBeats;
             did = true;
             if (last) {
@@ -182,37 +218,40 @@ DramController::acceptRequests()
 }
 
 void
+DramController::startTxn(TxnBase &txn, u32 id, u64 tag, Addr addr,
+                         u32 beats)
+{
+    txn.seq = _seqCounter++;
+    txn.tag = tag;
+    txn.id = id;
+    txn.acceptedAt = sim().cycle();
+    txn.addr = addr;
+    txn.beats = beats;
+    txn.beatsIssued = 0;
+    txn.firstUnissued = 0;
+    txn.issued = {};
+    txn.beatCoord.resize(beats);
+    for (u32 b = 0; b < beats; ++b) {
+        txn.beatCoord[b] = mapAddress(
+            _cfg.geometry, addr + static_cast<Addr>(b) * _cfg.axi.dataBytes);
+    }
+}
+
+void
 DramController::updateDrainMode()
 {
     // Write-drain mode switching (watermark policy): service reads
     // until enough write beats have buffered up (or no reads remain),
     // then drain writes as a batch. This amortizes bus turnarounds the
-    // way real DDR controllers do. Candidate existence per direction
-    // is O(IDs): the head transaction's firstUnissued beat is exposed
-    // iff the ID's reorder slot is open (and the window is nonzero).
+    // way real DDR controllers do.
     const Cycle now = sim().cycle();
-    bool reads_exist = false;
-    bool writes_exist = false;
-    if (_cfg.schedulerWindow != 0) {
-        for (const IdState &ids : _readIds) {
-            if (ids.order.empty() || now < ids.readyAt)
-                continue;
-            const ReadTxn &txn = _reads.slots[ids.order.front()];
-            if (txn.firstUnissued < txn.beats) {
-                reads_exist = true;
-                break;
-            }
-        }
-        for (const IdState &ids : _writeIds) {
-            if (ids.order.empty() || now < ids.readyAt)
-                continue;
-            const WriteTxn &txn = _writes.slots[ids.order.front()];
-            if (txn.firstUnissued < txn.beatsReceived) {
-                writes_exist = true;
-                break;
-            }
-        }
-    }
+    auto any_exposed = [now](const std::vector<Head> &heads) {
+        return std::any_of(heads.begin(), heads.end(), [now](const Head &h) {
+            return h.banks(now) != 0;
+        });
+    };
+    const bool reads_exist = any_exposed(_readHeads);
+    const bool writes_exist = any_exposed(_writeHeads);
     if (_writeDrainMode) {
         if (!writes_exist)
             _writeDrainMode = false;
@@ -224,144 +263,143 @@ DramController::updateDrainMode()
     }
 }
 
-void
-DramController::scanCandidates()
+template <typename Txn, typename Fn>
+bool
+DramController::forEachExposed(const Txn &txn, Fn &&fn) const
 {
     // AXI same-ID ordering: only the oldest transaction on each ID may
-    // occupy the scheduler. This is the serialization that penalizes
-    // single-ID streams (Fig. 5's HLS kernel). Within that head
-    // transaction, up to schedulerWindow unissued beats are visible at
-    // once (the command-queue lookahead of a real controller), which
-    // lets the scheduler batch row activations and bus directions.
-    //
-    // Everything the column and row schedulers need is computed in
-    // this one pass. Iteration order (reads by ascending ID, beats in
-    // order, then writes) matches the old materialized candidate list,
-    // so all first-wins tie-breaks are preserved bit-for-bit.
+    // occupy the scheduler (the serialization that penalizes single-ID
+    // streams, Fig. 5's HLS kernel). Within it, up to schedulerWindow
+    // unissued beats are visible at once (the command-queue lookahead
+    // of a real controller), which lets the scheduler batch row
+    // activations and bus directions.
+    const u32 limit = exposable(txn);
+    unsigned exposed = 0;
+    for (u32 b = nextClear(txn.issued, txn.firstUnissued, limit);
+         b < limit && exposed < _cfg.schedulerWindow;
+         b = nextClear(txn.issued, b + 1, limit), ++exposed) {
+        if (fn(b))
+            return true;
+    }
+    return false;
+}
+
+template <typename Txn>
+DramController::Head
+DramController::makeHead(const Txn &txn, u32 slot) const
+{
+    Head h;
+    h.seq = txn.seq;
+    h.slot = slot;
+    h.rowLo = txn.beatCoord.front().row;
+    h.rowHi = txn.beatCoord.back().row;
+    forEachExposed(txn, [&](u32 b) {
+        h.exposedBanks |= u64(1) << txn.beatCoord[b].bank;
+        return false;
+    });
+    return h;
+}
+
+void
+DramController::addHead(std::vector<Head> &heads, const Head &head)
+{
+    heads.insert(std::upper_bound(heads.begin(), heads.end(), head.seq,
+                                  [](u64 key, const Head &h) {
+                                      return key < h.seq;
+                                  }),
+                 head);
+}
+
+template <typename Txn>
+void
+DramController::refreshHead(const TxnPool<Txn> &pool,
+                            std::vector<Head> &heads, u32 slot) const
+{
+    for (Head &h : heads) {
+        if (h.slot == slot) {
+            h.exposedBanks = makeHead(pool.slots[slot], slot).exposedBanks;
+            return;
+        }
+    }
+}
+
+template <typename Txn>
+bool
+DramController::oldestReadyHit(const TxnPool<Txn> &pool,
+                               const std::vector<Head> &heads,
+                               u64 ready_banks, ColumnPick &pick) const
+{
+    // Heads are in seq order and beats in beat order, so the first hit
+    // is the FR-FCFS pick: the oldest (seq, beat) ready row hit.
     const Cycle now = sim().cycle();
-    _hasBestRead = false;
-    _hasBestWrite = false;
-    _bankValid.assign(_banks.size(), 0);
-    _bankHasHit.assign(_banks.size(), 0);
-    if (_oldestPerBank.size() != _banks.size())
-        _oldestPerBank.resize(_banks.size());
-
-    auto consider = [&](const Candidate &c) {
-        // Oldest candidate per bank (drain direction preferred, then
-        // age) — steers row commands.
-        Candidate &slot = _oldestPerBank[c.coord.bank];
-        if (_bankValid[c.coord.bank] == 0) {
-            slot = c;
-            _bankValid[c.coord.bank] = 1;
-        } else {
-            const bool c_on = c.isWrite == _writeDrainMode;
-            const bool cur_on = slot.isWrite == _writeDrainMode;
-            if ((c_on && !cur_on) || (c_on == cur_on && c.seq < slot.seq))
-                slot = c;
-        }
-        const BankState &bank = _banks[c.coord.bank];
-        const bool row_hit = bank.open && bank.row == c.coord.row;
-        // Banks with a pending row hit in the drain direction must not
-        // be precharged out from under it.
-        if (row_hit && c.isWrite == _writeDrainMode)
-            _bankHasHit[c.coord.bank] = 1;
-        // Ready row hits feed the column pick (FR-FCFS, oldest first).
-        if (!row_hit || now < bank.colReadyAt)
-            return;
-        // Bus turnaround: switching direction costs tSwitch idle
-        // cycles.
-        if (_anyColIssued && c.isWrite != _lastColWasWrite &&
-            now < _lastColAt + _cfg.timing.tSwitch) {
-            return;
-        }
-        if (c.isWrite) {
-            if (!_hasBestWrite || c.seq < _bestWrite.seq) {
-                _bestWrite = c;
-                _hasBestWrite = true;
-            }
-        } else {
-            if (!_hasBestRead || c.seq < _bestRead.seq) {
-                _bestRead = c;
-                _hasBestRead = true;
-            }
-        }
-    };
-
-    for (const IdState &ids : _readIds) {
-        // Skip idle IDs and IDs whose reorder slot is still recycling.
-        if (ids.order.empty() || now < ids.readyAt)
+    for (const Head &h : heads) {
+        const u64 ready = h.banks(now) & ready_banks;
+        if (ready == 0)
             continue;
-        const ReadTxn &txn = _reads.slots[ids.order.front()];
-        unsigned exposed = 0;
-        Candidate c;
-        c.isWrite = false;
-        c.txnSlot = ids.order.front();
-        c.seq = txn.seq;
-        for (u32 b = txn.firstUnissued;
-             b < txn.beats && exposed < _cfg.schedulerWindow; ++b) {
-            if (txn.issued[b])
+        if (h.rowLo == h.rowHi) {
+            // One row: a hit needs one of those banks open on it.
+            u64 m = ready;
+            while (m != 0 && _banks[std::countr_zero(m)].row != h.rowLo)
+                m &= m - 1;
+            if (m == 0)
                 continue;
-            c.beatIdx = b;
-            c.beatAddr =
-                txn.addr + static_cast<Addr>(b) * _cfg.axi.dataBytes;
-            c.coord = txn.beatCoord[b];
-            consider(c);
-            ++exposed;
         }
+        const Txn &txn = pool.slots[h.slot];
+        const bool found = forEachExposed(txn, [&](u32 b) {
+            const DramCoord &c = txn.beatCoord[b];
+            if ((ready_banks >> c.bank & 1) == 0 ||
+                _banks[c.bank].row != c.row) {
+                return false;
+            }
+            pick.txnSlot = h.slot;
+            pick.beatIdx = b;
+            return true;
+        });
+        if (found)
+            return true;
     }
-    for (const IdState &ids : _writeIds) {
-        if (ids.order.empty() || now < ids.readyAt)
-            continue;
-        const WriteTxn &txn = _writes.slots[ids.order.front()];
-        unsigned exposed = 0;
-        Candidate c;
-        c.isWrite = true;
-        c.txnSlot = ids.order.front();
-        c.seq = txn.seq;
-        for (u32 b = txn.firstUnissued;
-             b < txn.beatsReceived && exposed < _cfg.schedulerWindow;
-             ++b) {
-            if (txn.issued[b])
-                continue;
-            c.beatIdx = b;
-            c.beatAddr =
-                txn.addr + static_cast<Addr>(b) * _cfg.axi.dataBytes;
-            c.coord = txn.beatCoord[b];
-            consider(c);
-            ++exposed;
-        }
-    }
+    return false;
 }
 
 bool
 DramController::scheduleColumn()
 {
     const Cycle now = sim().cycle();
-    if (_anyColIssued && now <= _lastColAt) {
-        // Data bus already used this cycle; the row scheduler still
-        // needs this cycle's candidate view (drain mode unchanged).
-        scanCandidates();
-        return false;
-    }
+    if (_anyColIssued && now <= _lastColAt)
+        return false; // data bus already used this cycle
 
     updateDrainMode();
-    scanCandidates();
 
+    // Ready row hits: banks open and past tCCD. Bus turnaround:
+    // switching direction costs tSwitch idle cycles.
+    u64 ready_banks = 0;
+    for (std::size_t b = 0; b < _banks.size(); ++b) {
+        if (_banks[b].open && now >= _banks[b].colReadyAt)
+            ready_banks |= u64(1) << b;
+    }
+    auto find = [&](bool is_write) {
+        if (ready_banks == 0 ||
+            (_anyColIssued && is_write != _lastColWasWrite &&
+             now < _lastColAt + _cfg.timing.tSwitch)) {
+            return false;
+        }
+        _colPick.isWrite = is_write;
+        return is_write
+                   ? oldestReadyHit(_writes, _writeHeads, ready_banks, _colPick)
+                   : oldestReadyHit(_reads, _readHeads, ready_banks, _colPick);
+    };
     // Serve the drain direction; if it has nothing ready this cycle,
     // fall back to the other direction rather than idling the data
     // bus (work-conserving, as real controllers are).
-    const Candidate *best = nullptr;
-    if (_writeDrainMode)
-        best = _hasBestWrite ? &_bestWrite
-                             : (_hasBestRead ? &_bestRead : nullptr);
-    else
-        best = _hasBestRead ? &_bestRead
-                            : (_hasBestWrite ? &_bestWrite : nullptr);
-    if (best == nullptr)
+    if (!find(_writeDrainMode) && !find(!_writeDrainMode))
         return false;
-    const Candidate chosen = *best;
+    const ColumnPick &chosen = _colPick;
 
-    BankState &bank = _banks[chosen.coord.bank];
+    const DramCoord &coord =
+        chosen.isWrite
+            ? _writes.slots[chosen.txnSlot].beatCoord[chosen.beatIdx]
+            : _reads.slots[chosen.txnSlot].beatCoord[chosen.beatIdx];
+    BankState &bank = _banks[coord.bank];
     bank.colReadyAt = now + 1;
     bank.preReadyAt = std::max(bank.preReadyAt, now + 2);
     if (_anyColIssued && chosen.isWrite != _lastColWasWrite)
@@ -376,14 +414,9 @@ DramController::scheduleColumn()
         WriteTxn &txn = _writes.slots[chosen.txnSlot];
         _lastColId = txn.id;
         const WriteBeat &beat = txn.data[chosen.beatIdx];
-        _mem.writeMasked(chosen.beatAddr, beat.data, beat.strb);
-        txn.issued[chosen.beatIdx] = true;
-        ++txn.beatsIssued;
-        --_pendingWriteBeats;
-        while (txn.firstUnissued < txn.beats &&
-               txn.issued[txn.firstUnissued]) {
-            ++txn.firstUnissued;
-        }
+        _mem.writeMasked(txn.addr + static_cast<Addr>(chosen.beatIdx) *
+                                        _cfg.axi.dataBytes,
+                         beat.data, beat.strb);
         ++*_statColWrites;
     } else {
         ReadTxn &txn = _reads.slots[chosen.txnSlot];
@@ -391,86 +424,161 @@ DramController::scheduleColumn()
         txn.beatReadyAt[chosen.beatIdx] = now + _cfg.timing.tCAS;
         Payload &data = txn.beatData[chosen.beatIdx];
         data.resize(_cfg.axi.dataBytes);
-        _mem.read(chosen.beatAddr, data.size(), data.data());
-        txn.issued[chosen.beatIdx] = true;
-        ++txn.beatsIssued;
-        while (txn.firstUnissued < txn.beats &&
-               txn.issued[txn.firstUnissued]) {
-            ++txn.firstUnissued;
-        }
+        _mem.read(txn.addr +
+                      static_cast<Addr>(chosen.beatIdx) * _cfg.axi.dataBytes,
+                  data.size(), data.data());
         ++*_statColReads;
     }
     return true;
 }
 
+void
+DramController::commitColumn()
+{
+    auto mark = [this](auto &txn) {
+        const u32 b = _colPick.beatIdx;
+        txn.issued[b / 64] |= u64(1) << (b % 64);
+        ++txn.beatsIssued;
+        txn.firstUnissued = nextClear(txn.issued, txn.firstUnissued,
+                                      txn.beats);
+    };
+    if (_colPick.isWrite) {
+        mark(_writes.slots[_colPick.txnSlot]);
+        refreshHead(_writes, _writeHeads, _colPick.txnSlot);
+        --_pendingWriteBeats;
+    } else {
+        mark(_reads.slots[_colPick.txnSlot]);
+        refreshHead(_reads, _readHeads, _colPick.txnSlot);
+    }
+}
+
 bool
 DramController::scheduleRowCommands()
 {
+    // One row command (ACT or PRE) per cycle. For each bank, only the
+    // oldest waiting candidate may steer row state, which keeps younger
+    // requests from closing a row an older one is about to use. Banks
+    // are served in (drain direction first, then age) order of their
+    // oldest candidate, ties (one transaction's beats on several banks)
+    // by bank index. The candidates are this cycle's as they were
+    // before the column command (commitColumn runs after this); the
+    // column issue only moved the chosen bank's colReadyAt/preReadyAt,
+    // never open/row.
     const Cycle now = sim().cycle();
-    // scanCandidates() (run by scheduleColumn this cycle) left the
-    // per-bank products: for each bank, only the oldest waiting
-    // candidate may steer row state — this prevents younger requests
-    // from closing a row an older request is about to use. Banks that
-    // still have a pending row-hit candidate *in the active drain
-    // direction* (_bankHasHit) should not be precharged out from under
-    // it; off-direction hits cannot issue until the mode flips, so
-    // they must not be allowed to pin rows — that would deadlock
-    // against the drain policy. (The column issue earlier this cycle
-    // only touches colReadyAt/preReadyAt, never open/row, so these
-    // flags are unaffected by it.)
-    //
-    // One row command (ACT or PRE) per cycle: prepare banks for the
-    // current drain direction first, oldest request first.
-    std::vector<const Candidate *> &ordered = _rowOrdered;
-    ordered.clear();
-    for (std::size_t b = 0; b < _banks.size(); ++b) {
-        if (_bankValid[b] != 0)
-            ordered.push_back(&_oldestPerBank[b]);
+    while (_recentActsCount != 0 &&
+           _recentActs[_recentActsHead] + _cfg.timing.tFAW <= now) {
+        _recentActsHead = (_recentActsHead + 1) % _recentActs.size();
+        --_recentActsCount;
     }
-    const bool drain_writes = _writeDrainMode;
-    std::sort(ordered.begin(), ordered.end(),
-              [drain_writes](const Candidate *a, const Candidate *b) {
-                  const bool a_on = a->isWrite == drain_writes;
-                  const bool b_on = b->isWrite == drain_writes;
-                  if (a_on != b_on)
-                      return a_on;
-                  return a->seq < b->seq;
-              });
+    // Activation constraints: per-bank tRP done, global tRRD, tFAW.
+    const bool can_act =
+        now >= _nextActAt && _recentActsCount < _recentActs.size();
+    u64 actionable = 0;
+    for (std::size_t b = 0; b < _banks.size(); ++b) {
+        const BankState &bank = _banks[b];
+        if (bank.open ? now >= bank.preReadyAt
+                      : can_act && now >= bank.actReadyAt) {
+            actionable |= u64(1) << b;
+        }
+    }
+    // Only banks that could take a command matter: walk the heads in
+    // order until each of them has been seen (or one takes a command).
+    u64 seen = 0;
+    for (const bool on_direction : {true, false}) {
+        if ((actionable & ~seen) == 0)
+            return false;
+        const bool is_write = on_direction == _writeDrainMode;
+        if (is_write ? rowCommandFrom(_writes, _writeHeads, on_direction,
+                                      actionable, seen)
+                     : rowCommandFrom(_reads, _readHeads, on_direction,
+                                      actionable, seen)) {
+            return true;
+        }
+    }
+    return false;
+}
 
-    for (const Candidate *c : ordered) {
-        BankState &bank = _banks[c->coord.bank];
-        if (bank.open && bank.row == c->coord.row)
-            continue; // already a row hit; nothing to do
-        if (bank.open) {
-            if (_bankHasHit[c->coord.bank] != 0)
-                continue; // let the open row drain first (see above)
-            if (now >= bank.preReadyAt) {
+template <typename Txn>
+bool
+DramController::rowCommandFrom(const TxnPool<Txn> &pool,
+                               const std::vector<Head> &heads,
+                               bool on_direction, u64 actionable, u64 &seen)
+{
+    const Cycle now = sim().cycle();
+    for (std::size_t i = 0; i < heads.size(); ++i) {
+        const Head &h = heads[i];
+        // Banks whose oldest candidate is in this transaction: its first
+        // exposed beat on each bank not seen in an older one.
+        const u64 fresh = h.banks(now) & ~seen;
+        seen |= fresh;
+        for (u64 m = fresh & actionable; m != 0; m &= m - 1) {
+            const auto b = static_cast<unsigned>(std::countr_zero(m));
+            BankState &bank = _banks[b];
+            u64 row = h.rowLo;
+            if (h.rowLo != h.rowHi) {
+                const Txn &txn = pool.slots[h.slot];
+                forEachExposed(txn, [&](u32 beat) {
+                    row = txn.beatCoord[beat].row;
+                    return txn.beatCoord[beat].bank == b;
+                });
+            }
+            if (bank.open) {
+                // Already a row hit: nothing to do. A bank that still
+                // has a pending row hit in the drain direction is not
+                // precharged out from under it (younger ones in this
+                // pass; an off-direction pass has no drain-direction
+                // candidate on the bank at all). Off-direction hits
+                // cannot issue until the mode flips, so they must not
+                // pin rows: that would deadlock against the drain
+                // policy.
+                if (bank.row == row ||
+                    (on_direction && hitFrom(pool, heads, i, b))) {
+                    continue;
+                }
                 bank.open = false;
-                bank.actReadyAt = std::max(bank.actReadyAt,
-                                           now + _cfg.timing.tRP);
+                bank.actReadyAt =
+                    std::max(bank.actReadyAt, now + _cfg.timing.tRP);
                 ++*_statRowMisses;
                 return true;
             }
+            bank.open = true;
+            bank.row = row;
+            bank.colReadyAt = now + _cfg.timing.tRCD;
+            bank.preReadyAt = now + _cfg.timing.tRAS;
+            _nextActAt = now + _cfg.timing.tRRD;
+            _recentActs[(_recentActsHead + _recentActsCount++) %
+                        _recentActs.size()] = now;
+            return true;
+        }
+        if ((actionable & ~seen) == 0)
+            return false;
+    }
+    return false;
+}
+
+template <typename Txn>
+bool
+DramController::hitFrom(const TxnPool<Txn> &pool,
+                        const std::vector<Head> &heads, std::size_t from,
+                        unsigned bank) const
+{
+    const Cycle now = sim().cycle();
+    const u64 row = _banks[bank].row;
+    for (std::size_t i = from; i < heads.size(); ++i) {
+        const Head &h = heads[i];
+        if ((h.banks(now) >> bank & 1) == 0 || row < h.rowLo ||
+            row > h.rowHi) {
             continue;
         }
-        // Activation constraints: per-bank tRP done, global tRRD, tFAW.
-        if (now < bank.actReadyAt || now < _nextActAt)
-            continue;
-        while (_recentActsCount != 0 &&
-               _recentActs[_recentActsHead] + _cfg.timing.tFAW <= now) {
-            _recentActsHead = (_recentActsHead + 1) % _recentActs.size();
-            --_recentActsCount;
+        if (h.rowLo == h.rowHi)
+            return true;
+        const Txn &txn = pool.slots[h.slot];
+        if (forEachExposed(txn, [&](u32 b) {
+                const DramCoord &c = txn.beatCoord[b];
+                return c.bank == bank && c.row == row;
+            })) {
+            return true;
         }
-        if (_recentActsCount >= _recentActs.size())
-            continue;
-        bank.open = true;
-        bank.row = c->coord.row;
-        bank.colReadyAt = now + _cfg.timing.tRCD;
-        bank.preReadyAt = now + _cfg.timing.tRAS;
-        _nextActAt = now + _cfg.timing.tRRD;
-        _recentActs[(_recentActsHead + _recentActsCount++) %
-                    _recentActs.size()] = now;
-        return true;
     }
     return false;
 }
@@ -535,13 +643,19 @@ DramController::sendReadData()
                           {"id", txn.id}});
             }
             ids.order.erase(ids.order.begin());
+            eraseHead(_readHeads, slot);
             _reads.release(slot);
             // A successor already queued behind the head was held back
             // by the same-ID ordering dependence and pays the
             // reorder-slot recycle; a fresh request arriving later
             // starts with a clean slot.
-            if (!ids.order.empty())
+            if (!ids.order.empty()) {
                 ids.readyAt = now + _cfg.sameIdRecycleCycles;
+                Head next = makeHead(_reads.slots[ids.order.front()],
+                                     ids.order.front());
+                next.openAt = ids.readyAt;
+                addHead(_readHeads, next);
+            }
         }
         return ServiceResult::Done;
     }
@@ -587,9 +701,15 @@ DramController::sendWriteResponses()
                       {"id", txn.id}});
         }
         ids.order.erase(ids.order.begin());
+        eraseHead(_writeHeads, slot);
         _writes.release(slot);
-        if (!ids.order.empty())
+        if (!ids.order.empty()) {
             ids.readyAt = now + _cfg.sameIdRecycleCycles;
+            Head next = makeHead(_writes.slots[ids.order.front()],
+                                 ids.order.front());
+            next.openAt = ids.readyAt;
+            addHead(_writeHeads, next);
+        }
         return ServiceResult::Done;
     }
     return ServiceResult::None;

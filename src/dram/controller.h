@@ -99,37 +99,37 @@ class DramController : public Module
     void tick() override;
 
   private:
-    struct ReadTxn
+    /** Issued-beat flags of one burst, bit b = beat b (AXI4 bursts are
+     *  at most 256 beats). */
+    using BeatMask = std::array<u64, 4>;
+
+    /** What reads and writes share: identity, age and the per-beat
+     *  scheduling state. */
+    struct TxnBase
     {
         u64 seq = 0; ///< controller arrival order (FCFS age)
         u64 tag = 0;
         u32 id = 0;
-        Cycle acceptedAt = 0; ///< AR accept, for latency spans
+        Cycle acceptedAt = 0; ///< AR/AW accept, for latency spans
         Addr addr = 0;
         u32 beats = 0;
         u32 beatsIssued = 0; ///< count of issued column commands
         u32 firstUnissued = 0;
-        u32 beatsSent = 0;
-        std::vector<bool> issued;         ///< per-beat issue flag
-        std::vector<Cycle> beatReadyAt;   ///< 0 = not yet issued
-        std::vector<Payload> beatData;    ///< captured at issue
+        BeatMask issued{};
         std::vector<DramCoord> beatCoord; ///< mapped once at accept
     };
 
-    struct WriteTxn
+    struct ReadTxn : TxnBase
     {
-        u64 seq = 0;
-        u64 tag = 0;
-        u32 id = 0;
-        Cycle acceptedAt = 0; ///< AW accept, for latency spans
-        Addr addr = 0;
-        u32 beats = 0;
+        u32 beatsSent = 0;
+        std::vector<Cycle> beatReadyAt; ///< 0 = not yet issued
+        std::vector<Payload> beatData;  ///< captured at issue
+    };
+
+    struct WriteTxn : TxnBase
+    {
         u32 beatsReceived = 0;
-        u32 beatsIssued = 0;
-        u32 firstUnissued = 0;
-        std::vector<bool> issued;
         std::vector<WriteBeat> data;
-        std::vector<DramCoord> beatCoord; ///< mapped once at accept
     };
 
     /**
@@ -194,15 +194,36 @@ class DramController : public Module
         Cycle preReadyAt = 0;
     };
 
-    /** A schedulable (head-of-ID) beat awaiting a column command. */
-    struct Candidate
+    /**
+     * A head-of-ID transaction with what the schedulers ask of it first:
+     * the banks of its exposed beats, kept current by refreshHead(), and
+     * the row range of the whole burst (rows grow with the address;
+     * rowLo == rowHi for nearly every burst). Most questions are
+     * answered here, without a beat walk.
+     */
+    struct Head
+    {
+        u64 seq = 0;
+        u64 exposedBanks = 0;
+        u64 rowLo = 0;
+        u64 rowHi = 0;
+        Cycle openAt = 0; ///< same-ID recycle gate
+        u32 slot = 0;     ///< TxnPool slot
+
+        /** Banks of the beats it exposes at @p now: none while gated. */
+        u64
+        banks(Cycle now) const
+        {
+            return now < openAt ? 0 : exposedBanks;
+        }
+    };
+
+    /** The beat chosen for this cycle's column command. */
+    struct ColumnPick
     {
         bool isWrite = false;
         u32 txnSlot = 0; ///< TxnPool slot of the transaction
-        u64 seq = 0;
         u32 beatIdx = 0;
-        Addr beatAddr = 0;
-        DramCoord coord;
     };
 
     /** Outcome of an output-side service attempt. */
@@ -214,18 +235,58 @@ class DramController : public Module
     };
 
     bool acceptRequests();
+    /** Reset @p txn's scheduling state and map its beats. */
+    void startTxn(TxnBase &txn, u32 id, u64 tag, Addr addr, u32 beats);
     bool scheduleColumn();
+    /** Mark the beat scheduleColumn() issued. Deferred until after
+     *  scheduleRowCommands(), which sees this cycle's candidates as they
+     *  were before the column command. */
+    void commitColumn();
     bool scheduleRowCommands();
     ServiceResult sendReadData();
     ServiceResult sendWriteResponses();
 
     /** Recompute _writeDrainMode from candidate existence per side. */
     void updateDrainMode();
-    /** One pass over the schedulable-beat set computing everything the
-     *  schedulers need (best ready row hit per direction, oldest
-     *  candidate per bank, per-bank row-hit flags) without
-     *  materializing the candidate list. */
-    void scanCandidates();
+
+    /** Beats of @p txn the scheduler may see: all of a read, the
+     *  received prefix of a write. */
+    static u32 exposable(const ReadTxn &txn) { return txn.beats; }
+    static u32 exposable(const WriteTxn &txn) { return txn.beatsReceived; }
+
+    /** Call @p fn(beat) on the exposed beats of @p txn in beat order
+     *  (the first schedulerWindow unissued ones) until it returns true.
+     *  @return whether @p fn stopped the walk. */
+    template <typename Txn, typename Fn>
+    bool forEachExposed(const Txn &txn, Fn &&fn) const;
+    /** The head entry of @p txn, held in TxnPool slot @p slot. */
+    template <typename Txn>
+    Head makeHead(const Txn &txn, u32 slot) const;
+    /** Insert @p head into @p heads in seq order. */
+    static void addHead(std::vector<Head> &heads, const Head &head);
+    /** Rebuild the entry of @p slot in @p heads, if it is a head, after
+     *  its exposure changed (a beat issued or, for a write, received). */
+    template <typename Txn>
+    void refreshHead(const TxnPool<Txn> &pool, std::vector<Head> &heads,
+                     u32 slot) const;
+
+    /** Oldest (seq, beat) exposed row hit on a bank in @p ready_banks;
+     *  fills @p pick's slot and beat. */
+    template <typename Txn>
+    bool oldestReadyHit(const TxnPool<Txn> &pool,
+                        const std::vector<Head> &heads, u64 ready_banks,
+                        ColumnPick &pick) const;
+    /** Walk @p heads for banks not yet in @p seen and give the first
+     *  of them that can take one its row command. */
+    template <typename Txn>
+    bool rowCommandFrom(const TxnPool<Txn> &pool,
+                        const std::vector<Head> &heads, bool on_direction,
+                        u64 actionable, u64 &seen);
+    /** Whether an exposed beat of heads[@p from...] hits @p bank's open
+     *  row. */
+    template <typename Txn>
+    bool hitFrom(const TxnPool<Txn> &pool, const std::vector<Head> &heads,
+                 std::size_t from, unsigned bank) const;
 
     /** Classify the cycle and update the per-AXI-ID wait counters. */
     void accountCycle(bool did, ServiceResult rd, ServiceResult wr,
@@ -250,6 +311,10 @@ class DramController : public Module
     TxnPool<WriteTxn> _writes;
     std::vector<IdState> _readIds; ///< sorted by ID
     std::vector<IdState> _writeIds;
+    /** Head-of-ID transactions, oldest first: the only transactions
+     *  the schedulers look at. */
+    std::vector<Head> _readHeads;
+    std::vector<Head> _writeHeads;
     u32 _fillingWrite = 0;  ///< slot of write currently receiving W beats
     bool _hasFilling = false;
     /** Buffered-but-unissued write beats across all transactions,
@@ -258,19 +323,7 @@ class DramController : public Module
     u64 _pendingWriteBeats = 0;
 
     std::vector<BankState> _banks;
-    /** scanCandidates() products, reused across tick()s so the
-     *  scheduler hot path is allocation-free (this module ticks every
-     *  in-flight cycle and dominates host time on streaming benches).
-     *  _oldestPerBank/_bankHasHit are indexed by bank; _bankValid
-     *  gates stale _oldestPerBank entries. */
-    std::vector<Candidate> _oldestPerBank;
-    std::vector<u8> _bankValid;
-    std::vector<u8> _bankHasHit;
-    std::vector<const Candidate *> _rowOrdered;
-    Candidate _bestRead;  ///< oldest ready row-hit read, if any
-    Candidate _bestWrite; ///< oldest ready row-hit write, if any
-    bool _hasBestRead = false;
-    bool _hasBestWrite = false;
+    ColumnPick _colPick;
     /** Activates inside the tFAW window, oldest first (a ring: tFAW
      *  allows at most four). */
     std::array<Cycle, 4> _recentActs{};

@@ -21,141 +21,6 @@ routingKey(u32 system_id, u32 core_id, u32 rd)
 
 } // namespace
 
-// --- LiveAxiChecker ---------------------------------------------------
-
-std::string
-LiveAxiChecker::observe(const AxiEvent &e)
-{
-    ++_eventsSeen;
-    std::ostringstream err;
-
-    // ID-leak screen: transactions must use IDs the elaborator
-    // actually handed out.
-    const bool is_read =
-        e.channel == AxiChannel::AR || e.channel == AxiChannel::R;
-    const bool is_write = !is_read;
-    if (is_read && _readIdBound != 0 && e.id >= _readIdBound) {
-        err << axiChannelName(e.channel) << " uses read id " << e.id
-            << " outside the allocated space [0, " << _readIdBound << ")";
-        return err.str();
-    }
-    if (is_write && _writeIdBound != 0 && e.id >= _writeIdBound &&
-        e.channel != AxiChannel::W) {
-        // W beats are tag-matched, not ID-matched, but AW and B carry
-        // real bus IDs.
-        err << axiChannelName(e.channel) << " uses write id " << e.id
-            << " outside the allocated space [0, " << _writeIdBound << ")";
-        return err.str();
-    }
-
-    switch (e.channel) {
-      case AxiChannel::AR:
-        _reads[e.id].push_back({e.tag, e.beats});
-        break;
-      case AxiChannel::AW:
-        _writes[e.id].push_back({e.tag, e.beats});
-        _writeDataDone[e.tag] = false;
-        break;
-      case AxiChannel::R: {
-        auto &q = _reads[e.id];
-        if (q.empty()) {
-            err << "R beat for id " << e.id << " with no outstanding read";
-            return err.str();
-        }
-        Outstanding &head = q.front();
-        if (head.tag != e.tag) {
-            err << "R beat tag " << e.tag << " on id " << e.id
-                << " violates same-ID ordering (expected tag " << head.tag
-                << ")";
-            return err.str();
-        }
-        ++head.beatsSeen;
-        const bool should_be_last = head.beatsSeen == head.beatsExpected;
-        if (e.last != should_be_last) {
-            err << "R last flag mismatch on tag " << e.tag << " (beat "
-                << head.beatsSeen << "/" << head.beatsExpected << ")";
-            return err.str();
-        }
-        if (e.last)
-            q.pop_front();
-        break;
-      }
-      case AxiChannel::W: {
-        bool found = false;
-        for (auto &[id, q] : _writes) {
-            for (auto &o : q) {
-                if (o.tag == e.tag && o.beatsSeen < o.beatsExpected) {
-                    ++o.beatsSeen;
-                    const bool last = o.beatsSeen == o.beatsExpected;
-                    if (e.last != last) {
-                        err << "W last flag mismatch on tag " << e.tag;
-                        return err.str();
-                    }
-                    if (last)
-                        _writeDataDone[e.tag] = true;
-                    found = true;
-                    break;
-                }
-            }
-            if (found)
-                break;
-        }
-        if (!found) {
-            err << "W beat with tag " << e.tag
-                << " matches no outstanding write";
-            return err.str();
-        }
-        break;
-      }
-      case AxiChannel::B: {
-        auto &q = _writes[e.id];
-        if (q.empty()) {
-            err << "B response for id " << e.id
-                << " with no outstanding write";
-            return err.str();
-        }
-        if (q.front().tag != e.tag) {
-            err << "B response tag " << e.tag << " on id " << e.id
-                << " violates same-ID ordering";
-            return err.str();
-        }
-        auto it = _writeDataDone.find(e.tag);
-        if (it == _writeDataDone.end() || !it->second) {
-            err << "B response before final W beat on tag " << e.tag;
-            return err.str();
-        }
-        q.pop_front();
-        _writeDataDone.erase(it);
-        break;
-      }
-    }
-    return "";
-}
-
-std::size_t
-LiveAxiChecker::outstandingReads() const
-{
-    std::size_t n = 0;
-    for (const auto &[id, q] : _reads)
-        n += q.size();
-    return n;
-}
-
-std::size_t
-LiveAxiChecker::outstandingWrites() const
-{
-    std::size_t n = 0;
-    for (const auto &[id, q] : _writes)
-        n += q.size();
-    return n;
-}
-
-bool
-LiveAxiChecker::quiescent() const
-{
-    return outstandingReads() == 0 && outstandingWrites() == 0;
-}
-
 // --- SocInvariants ----------------------------------------------------
 
 SocInvariants::SocInvariants(AcceleratorSoc &soc) : _soc(soc)

@@ -194,6 +194,60 @@ TEST(A3Attention, PipelineOverlapsStages)
     EXPECT_GT(cycles_per_query, 0.9 * n_keys);
 }
 
+TEST(A3Attention, BackToBackCommandsWait)
+{
+    // Two loads and two attend batches issued to one core without
+    // waiting: each command waits at the head of the queue until the
+    // previous one has finished and responded, instead of finding its
+    // ports busy. Every command responds and every output is exact.
+    SimulationPlatform platform;
+    A3Harness h(platform, 1);
+    const unsigned n_keys = 64, n_queries = 8, half = n_queries / 2;
+    const Operands ops = makeOperands(n_keys, n_queries, 11);
+
+    remote_ptr keys = h.handle.malloc(ops.keys.size());
+    remote_ptr values = h.handle.malloc(ops.values.size());
+    std::memcpy(keys.getHostAddr(), ops.keys.data(), ops.keys.size());
+    std::memcpy(values.getHostAddr(), ops.values.data(),
+                ops.values.size());
+    h.handle.copy_to_fpga(keys);
+    h.handle.copy_to_fpga(values);
+    remote_ptr qbuf = h.handle.malloc(n_queries * 64);
+    remote_ptr obuf = h.handle.malloc(n_queries * 64);
+    for (unsigned q = 0; q < n_queries; ++q) {
+        std::memcpy(qbuf.getHostAddr() + q * 64, ops.queries[q].data(),
+                    A3Params::dim);
+    }
+    h.handle.copy_to_fpga(qbuf);
+
+    std::vector<response_handle<u64>> pending;
+    for (int i = 0; i < 2; ++i) {
+        pending.push_back(h.handle.invoke(
+            "A3System", "load_matrices", 0,
+            {keys.getFpgaAddr(), values.getFpgaAddr(), n_keys}));
+    }
+    for (unsigned b = 0; b < 2; ++b) {
+        pending.push_back(h.handle.invoke(
+            "A3System", "attend", 0,
+            {qbuf.getFpgaAddr() + u64(b) * half * 64,
+             obuf.getFpgaAddr() + u64(b) * half * 64, half}));
+    }
+    for (auto &p : pending)
+        p.get();
+    h.handle.copy_from_fpga(obuf);
+
+    for (unsigned q = 0; q < n_queries; ++q) {
+        const auto golden = goldenAttention(ops.keys, ops.values,
+                                            ops.queries[q], n_keys,
+                                            A3Params::dim);
+        for (unsigned d = 0; d < A3Params::dim; ++d) {
+            ASSERT_EQ(static_cast<i8>(obuf.getHostAddr()[q * 64 + d]),
+                      golden[d])
+                << "query " << q << " dim " << d;
+        }
+    }
+}
+
 TEST(A3Attention, GoldenMatchesF32Shape)
 {
     // The fixed-point pipeline should approximate true softmax

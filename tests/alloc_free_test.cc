@@ -3,7 +3,8 @@
  * The per-cycle path is allocation-free: once a pipeline is warm, its
  * queues, flits and transaction state reuse fixed storage, so stepping
  * it makes no heap allocation at all, and the event kernel's wake wheel
- * allocates nothing after construction. Counted with the process-wide
+ * allocates nothing after construction. The live AXI protocol checker
+ * that watches the DRAM port is allocation-free once warm as well. Counted with the process-wide
  * operator new counters (perf/kpi.h).
  */
 
@@ -11,6 +12,7 @@
 
 #include <memory>
 
+#include "axi/timeline.h"
 #include "dram/controller.h"
 #include "mem/reader.h"
 #include "mem/scratchpad.h"
@@ -146,6 +148,56 @@ TEST(AllocFree, ReaderDramWriterStream)
         << "the stream must actually move data";
     EXPECT_LT(pump.words * rp.dataBytes, len)
         << "the stream must still be running at the end of the window";
+}
+
+TEST(AllocFree, AxiProtocolCheckerStream)
+{
+    // Eight IDs with a read and a write burst each in flight while the
+    // previous round's R beats and B responses retire.
+    AxiProtocolChecker checker;
+    constexpr u32 ids = 8, beats = 4;
+    checker.setIdBounds(ids, ids);
+    auto feed = [&](AxiChannel ch, u32 id, u64 tag, u32 n, bool last) {
+        AxiEvent e;
+        e.channel = ch;
+        e.id = id;
+        e.tag = tag;
+        e.beats = n;
+        e.last = last;
+        const std::string err = checker.observe(e);
+        if (!err.empty())
+            ADD_FAILURE() << err;
+    };
+    auto read_tag = [](u64 round, u32 id) { return (round * ids + id) * 2; };
+    auto write_tag = [&](u64 round, u32 id) {
+        return read_tag(round, id) + 1;
+    };
+    auto round = [&](u64 r, bool issue) {
+        for (u32 id = 0; id < ids && issue; ++id) {
+            feed(AxiChannel::AR, id, read_tag(r, id), beats, false);
+            feed(AxiChannel::AW, id, write_tag(r, id), beats, false);
+            for (u32 b = 1; b <= beats; ++b)
+                feed(AxiChannel::W, id, write_tag(r, id), 0, b == beats);
+        }
+        for (u32 id = 0; id < ids && r > 0; ++id) {
+            for (u32 b = 1; b <= beats; ++b)
+                feed(AxiChannel::R, id, read_tag(r - 1, id), 0, b == beats);
+            feed(AxiChannel::B, id, write_tag(r - 1, id), 0, false);
+        }
+    };
+
+    constexpr u64 warmupRounds = 16, measuredRounds = 200;
+    for (u64 r = 0; r < warmupRounds; ++r)
+        round(r, true);
+    const u64 events_before = checker.eventsSeen();
+    const u64 allocs_before = allocCounters().allocs;
+    for (u64 r = warmupRounds; r < warmupRounds + measuredRounds; ++r)
+        round(r, true);
+    EXPECT_EQ(allocCounters().allocs - allocs_before, 0u);
+    EXPECT_GE(checker.eventsSeen() - events_before, 10'000u);
+    EXPECT_EQ(checker.outstandingReads(), ids);
+    round(warmupRounds + measuredRounds, false);
+    EXPECT_TRUE(checker.quiescent());
 }
 
 /**

@@ -17,6 +17,8 @@
 #                host-profiler, runtime-server and checker suites (the
 #                checker runs in every AcceleratorSoc constructor), the
 #                JSON escaper/parser, flag-parser and stats-number
+#                suites, the DRAM controller (pinned scheduling
+#                decisions, refresh), AXI protocol checker and A3
 #                suites, plus a tick-vs-event `beethoven fuzz
 #                --differential`
 #
@@ -69,7 +71,7 @@ echo "== run_checks: 4/4 sanitize (ASan+UBSan smoke) =="
 san_dir="$repo_root/build-sanitize"
 if [ -f "$san_dir/CTestTestfile.cmake" ]; then
     (cd "$san_dir" &&
-        ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel|HostProfiler|RuntimeServer|Lint|GraphRules|SocAnalysis|Json|Args|StatGroup|TimedQueue|AllocFree|CoreApi' \
+        ctest -R 'EventKernel|WakeWheel|Simulator|CrossKernel|HostProfiler|RuntimeServer|Lint|GraphRules|SocAnalysis|Json|Args|StatGroup|TimedQueue|AllocFree|CoreApi|DramController|DramRefresh|AxiChecker|A3Attention' \
         --output-on-failure -j "$(nproc)") || fail sanitize
     "$san_dir/tools/beethoven" fuzz --differential --seed=1 \
         --iterations=3 || fail sanitize
